@@ -133,11 +133,18 @@ def _require_seed(args) -> int:
 
 def _load_records(data_dir, split: str | None = None):
     records = dataio.load_dataset(data_dir)
-    if split is not None:
-        records = [r for r in records if r.split == split]
-        if not records:
-            raise ValueError(f"no records in split {split!r}")
-    return records
+    return records if split is None else _select_split(records, split)
+
+
+def _select_split(records, split: str):
+    selected = [r for r in records if r.split == split]
+    if not selected:
+        raise ValueError(f"no records in split {split!r}")
+    return selected
+
+
+def _truth_of(records) -> dict[str, LabelRow]:
+    return {r.id: LabelRow(r.id, r.split, r.emotion, r.attributes) for r in records}
 
 
 def _labels_by_id(labels_path, split: str | None) -> dict[str, LabelRow]:
@@ -513,11 +520,6 @@ TABLE2_ROWS = (
 )
 
 
-def _eval_predictions(preds: PredictionSet, labels_path, split) -> MetricsReport:
-    truth = _labels_by_id(labels_path, split)
-    return _build_report(preds, truth)
-
-
 def _run_sweep_rows(jobs, run_one, parallel: int) -> list[str]:
     """Row CSV lines in job order; rows fan out to processes when asked.
 
@@ -536,12 +538,15 @@ def _run_sweep_rows(jobs, run_one, parallel: int) -> list[str]:
     return rows
 
 
+def _sweep_data(args) -> dict:
+    """The dataset, loaded once per sweep, and the scored split's truth."""
+    records = _load_records(args.data)
+    eval_records = _select_split(records, args.split)
+    return {"records": records, "eval_records": eval_records, "truth": _truth_of(eval_records)}
+
+
 def _table1_row(job) -> str:
     method, fusion, activation, opts = job
-    records = dataio.load_dataset(opts["data"])
-    eval_records = [r for r in records if r.split == opts["split"]]
-    speech_ckpt = Checkpoint.load(opts["speech_ckpt"])
-    text_ckpt = Checkpoint.load(opts["text_ckpt"])
     parts: dict[str, MetricsReport] = {}
     for task in ("categorical", "attributes"):
         cfg = TrainConfig(
@@ -549,9 +554,11 @@ def _table1_row(job) -> str:
             batch_size=opts["batch_size"], attn_dim=opts["attn_dim"],
             learning_rate=opts["lr"], epochs=opts["epochs"],
         )
-        ckpt = trainer.train_stage2(cfg, speech_ckpt, text_ckpt, records)
-        preds = trainer.predict(ckpt, eval_records)
-        parts[task] = _eval_predictions(preds, Path(opts["data"]) / "labels.csv", opts["split"])
+        ckpt = trainer.train_stage2(
+            cfg, opts["speech_ckpt"], opts["text_ckpt"], opts["records"], cache=opts["cache"]
+        )
+        preds = trainer.predict(ckpt, opts["eval_records"], cache=opts["cache"])
+        parts[task] = _build_report(preds, opts["truth"])
     combined = MetricsReport(
         classification=parts["categorical"].classification,
         attributes=parts["attributes"].attributes,
@@ -561,16 +568,18 @@ def _table1_row(job) -> str:
 
 def _cmd_sweep_table1(args, argv) -> int:
     seed = _require_seed(args)
-    _load_records(args.data, args.split)  # fail fast on an empty split
-    Checkpoint.load(args.speech_ckpt)
-    Checkpoint.load(args.text_ckpt)
-    opts = {
-        "data": str(args.data), "split": args.split, "seed": seed,
-        "speech_ckpt": str(args.speech_ckpt), "text_ckpt": str(args.text_ckpt),
+    opts = _sweep_data(args)
+    speech_ckpt = Checkpoint.load(args.speech_ckpt)
+    text_ckpt = Checkpoint.load(args.text_ckpt)
+    # every row trains on train + dev and scores the split: encode those once
+    used = [r for r in opts["records"] if r.split in ("train", "dev", args.split)]
+    opts.update({
+        "seed": seed, "speech_ckpt": speech_ckpt, "text_ckpt": text_ckpt,
+        "cache": trainer.encode_frozen(speech_ckpt, text_ckpt, used),
         "batch_size": int(args.batch_size), "attn_dim": int(args.attn_dim),
         "lr": float(args.lr) if args.lr is not None else None,
         "epochs": int(args.epochs) if args.epochs is not None else None,
-    }
+    })
     jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
     rows = _run_sweep_rows(jobs, _table1_row, int(args.parallel))
     Path(args.out).write_text("\n".join([metrics.csv_header()] + rows) + "\n", encoding="utf-8")
@@ -581,30 +590,26 @@ def _cmd_sweep_table1(args, argv) -> int:
 
 def _table2_row(job) -> str:
     method, loss, sampler, gamma, opts = job
-    records = dataio.load_dataset(opts["data"])
-    eval_records = [r for r in records if r.split == opts["split"]]
     cfg = TrainConfig(
         stage=1, task="categorical", modality=opts["modality"], loss=loss, sampler=sampler,
         seed=opts["seed"], batch_size=opts["batch_size"],
         focal_gamma=gamma if gamma is not None else opts["focal_gamma"],
         learning_rate=opts["lr"], epochs=opts["epochs"],
     )
-    ckpt = trainer.train_stage1(cfg, records)
-    preds = trainer.predict(ckpt, eval_records)
-    report = _eval_predictions(preds, Path(opts["data"]) / "labels.csv", opts["split"])
-    return report.csv_row(method)
+    ckpt = trainer.train_stage1(cfg, opts["records"])
+    preds = trainer.predict(ckpt, opts["eval_records"])
+    return _build_report(preds, opts["truth"]).csv_row(method)
 
 
 def _cmd_sweep_table2(args, argv) -> int:
     seed = _require_seed(args)
-    _load_records(args.data, args.split)  # fail fast on an empty split
-    opts = {
-        "data": str(args.data), "split": args.split, "seed": seed,
-        "modality": args.modality, "batch_size": int(args.batch_size),
+    opts = _sweep_data(args)
+    opts.update({
+        "seed": seed, "modality": args.modality, "batch_size": int(args.batch_size),
         "focal_gamma": float(args.focal_gamma),
         "lr": float(args.lr) if args.lr is not None else None,
         "epochs": int(args.epochs) if args.epochs is not None else None,
-    }
+    })
     jobs = [(method, loss, sampler, gamma, opts) for method, loss, sampler, gamma in TABLE2_ROWS]
     rows = _run_sweep_rows(jobs, _table2_row, int(args.parallel))
     Path(args.out).write_text("\n".join([metrics.csv_header()] + rows) + "\n", encoding="utf-8")

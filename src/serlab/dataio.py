@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,9 +93,18 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     return buf
 
 
+def _check_length(n: int, offset: int, size: int, what: str, field_offset: int) -> None:
+    """Reject a length field promising more than the ``size - offset`` bytes
+    left in the file, before a buffer of that length is allocated; the error
+    cites the length field's offset."""
+    if n > size - offset:
+        raise FormatError(f"{what} needs {n} bytes, only {size - offset} left", field_offset)
+
+
 def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
     """Read an FEMB file into (id, T x D float64 matrix) pairs."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         offset = 0
         header = _read_exact(f, 20, offset, "header")
         magic, version, dim, count = struct.unpack("<4sIIQ", header)
@@ -105,12 +116,14 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
         out: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
             (id_len,) = struct.unpack("<H", _read_exact(f, 2, offset, "id length"))
+            _check_length(id_len, offset + 2, size, "record id", offset)
             offset += 2
             name = _read_exact(f, id_len, offset, "record id").decode("utf-8")
             offset += id_len
             (frames,) = struct.unpack("<I", _read_exact(f, 4, offset, "frame count"))
-            offset += 4
             nbytes = frames * dim * 4
+            _check_length(nbytes, offset + 4, size, f"record {name!r} data", offset)
+            offset += 4
             raw = _read_exact(f, nbytes, offset, f"record {name!r} data")
             offset += nbytes
             mat = np.frombuffer(raw, dtype="<f4").reshape(frames, dim).astype(np.float64)
@@ -404,6 +417,7 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> No
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         offset = 0
         magic, version = struct.unpack("<4sI", _read_exact(f, 8, offset, "header"))
         if magic != CKPT_MAGIC:
@@ -412,6 +426,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"unsupported version {version}", 4)
         offset = 8
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, offset, "metadata length"))
+        _check_length(meta_len, offset + 4, size, "metadata", offset)
         offset += 4
         metadata = json.loads(_read_exact(f, meta_len, offset, "metadata").decode("utf-8"))
         offset += meta_len
@@ -420,14 +435,17 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, offset, "tensor name length"))
+            _check_length(name_len, offset + 2, size, "tensor name", offset)
             offset += 2
             name = _read_exact(f, name_len, offset, "tensor name").decode("utf-8")
             offset += name_len
             (rank,) = struct.unpack("<I", _read_exact(f, 4, offset, "tensor rank"))
+            _check_length(4 * rank, offset + 4, size, f"tensor {name!r} shape", offset)
             offset += 4
             shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, offset, "tensor shape"))
+            nbytes = math.prod(shape) * 8
+            _check_length(nbytes, offset + 4 * rank, size, f"tensor {name!r} data", offset)
             offset += 4 * rank
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if rank else 8
             raw = _read_exact(f, nbytes, offset, f"tensor {name!r} data")
             offset += nbytes
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

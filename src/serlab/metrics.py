@@ -72,7 +72,10 @@ class ClassificationReport:
 
     def __post_init__(self) -> None:
         # single-label multi-class identity; construction-time sanity check
-        assert self.f1_micro == self.accuracy, "F1-micro must equal accuracy"
+        if self.f1_micro != self.accuracy:
+            raise ValueError(
+                f"F1-micro must equal accuracy, got {self.f1_micro!r} and {self.accuracy!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -138,6 +138,12 @@ def init_encoder_params(cfg: EncoderCfg, rng: np.random.Generator) -> dict[str, 
     return params
 
 
+def encoder_param_names(cfg: EncoderCfg) -> tuple[str, ...]:
+    """The keys of ``init_encoder_params``, in order, without drawing values."""
+    attention = ("att.W", "att.b", "att.v", "att.k") if isinstance(cfg, SpeechEncoderCfg) else ()
+    return ("frame.W", "frame.b", *attention, "proj.W", "proj.b")
+
+
 def init_head_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     params["fc1.W"], params["fc1.b"] = _affine(rng, in_dim, in_dim)

@@ -440,12 +440,11 @@ def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:
 # parameters and differentiation
 
 class ParamStore:
-    """Ordered name -> parameter map with a parallel gradient map."""
+    """Ordered name -> parameter map; gradients live on the parameter tensors."""
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
         self._trainable: dict[str, bool] = {}
-        self._grads: dict[str, Array] = {}
 
     def add(self, name: str, values, trainable: bool = True) -> Tensor:
         if name in self._params:
@@ -454,7 +453,6 @@ class ParamStore:
         _check_finite(t.data, f"param {name!r}")
         self._params[name] = t
         self._trainable[name] = trainable
-        self._grads[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -492,19 +490,17 @@ class ParamStore:
         t.data = arr
 
     def grad(self, name: str) -> Array:
-        return self._grads[name]
+        """Gradient from the last ``backward``; zeros where the loss did not reach."""
+        t = self._params[name]
+        return t.grad if t.grad is not None else np.zeros_like(t.data)
 
     @property
     def grads(self) -> dict[str, Array]:
-        return dict(self._grads)
+        return {name: self.grad(name) for name in self._params}
 
     def clear_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def capture_grads(self) -> None:
-        for name, t in self._params.items():
-            self._grads[name] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
 
     def view(self, prefix: str) -> dict[str, Tensor]:
         """Sub-map of parameters under ``prefix``, keys shortened."""
@@ -565,6 +561,4 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> ParamStore | Non
         for node in reversed(order):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
-    if params is not None:
-        params.capture_grads()
     return params

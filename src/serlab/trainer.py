@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,9 +125,9 @@ class AdamState:
 
 
 def adam_step(
-    params: nm.ParamStore, grads: dict[str, np.ndarray], state: AdamState, lr: float
-) -> tuple[nm.ParamStore, AdamState]:
-    """One Adam update over the parameters tracked by ``state``."""
+    params: nm.ParamStore, grads: Mapping[str, np.ndarray], state: AdamState, lr: float
+) -> None:
+    """One Adam update, in place, over the parameters tracked by ``state``."""
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
@@ -141,7 +141,6 @@ def adam_step(
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
         params.set_value(name, p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,8 @@ def _run_epochs(
                 batch = [train[i] for i in batch_idx]
                 loss = _batch_loss(cfg, forward, batch, cat_loss)
                 nm.backward(loss, params)
-                adam_step(params, params.grads, state, cfg.learning_rate)
+                grads = {name: params.grad(name) for name in state.m}
+                adam_step(params, grads, state, cfg.learning_rate)
                 total += loss.item() * len(batch)
                 count += len(batch)
             dev_metrics = _eval_dev(cfg.task, forward, dev)
@@ -281,63 +281,190 @@ def _run_epochs(
 
 
 # ---------------------------------------------------------------------------
-# stage 1
+# the model builder
 
-def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=None) -> Checkpoint:
-    """Train one modality's encoder plus task head end-to-end."""
-    if cfg.stage != 1:
-        raise ValueError(f"train_stage1 requires cfg.stage == 1, got {cfg.stage}")
-    train, dev = _split_records(records, cfg.task)
-    modality = cfg.modality
-    dim = _feature_dim(train + dev, modality)
-    if modality == "speech":
-        enc_cfg: model.EncoderCfg = model.SpeechEncoderCfg(dim, cfg.hidden_dim, cfg.out_dim)
+ENCODER_PREFIXES = ("speech.", "text.")
+
+
+def _encoder_cfgs(meta: dict) -> dict[str, model.EncoderCfg]:
+    """Encoder configs by modality, from stage-1 or stage-2 metadata.
+
+    Both modalities store their input width under ``"frame_dim"``; for text
+    it is the token dim.
+    """
+    if meta["stage"] == 1:
+        encoders = {meta["modality"]: meta["encoder"]}
     else:
-        enc_cfg = model.TextEncoderCfg(dim, cfg.hidden_dim, cfg.out_dim)
-    head_cfg = model.FusionHeadCfg(fusion=cfg.fusion, activation=cfg.activation, task=cfg.task)
+        encoders = {"speech": meta["speech_encoder"], "text": meta["text_encoder"]}
+    cfgs: dict[str, model.EncoderCfg] = {}
+    for modality, enc in encoders.items():
+        cls = model.SpeechEncoderCfg if modality == "speech" else model.TextEncoderCfg
+        cfgs[modality] = cls(enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
+    return cfgs
 
-    rng = np.random.default_rng(cfg.seed)
-    params = nm.ParamStore()
-    for name, arr in model.init_encoder_params(enc_cfg, rng).items():
-        params.add(f"{modality}.{name}", arr)
-    for name, arr in model.init_head_params(cfg.out_dim, head_cfg.out_dim, rng).items():
-        params.add(f"head.{name}", arr)
 
-    enc_view = params.view(f"{modality}.")
+def _encoder_names(modality: str, cfg: model.EncoderCfg) -> list[str]:
+    return [f"{modality}.{n}" for n in model.encoder_param_names(cfg)]
+
+
+def _require(params: nm.ParamStore, names: Sequence[str]) -> None:
+    for name in names:
+        if name not in params:
+            raise ValueError(f"checkpoint missing required tensor {name!r}")
+
+
+def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray:
+    feats = record.speech_frames if modality == "speech" else record.text_tokens
+    if feats is None:
+        raise ValueError(f"record {record.id!r}: missing {modality} features")
+    return feats
+
+
+def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[UtteranceRecord], tuple]:
+    """``record -> arrays``: what the head reads, with no graph left behind.
+
+    Stage 1 freezes nothing, so this only picks the modality's frames.  In
+    stage 2 it runs the frozen encoders: pooled embeddings, concatenated
+    speech first, for concat fusion; per-frame hiddens for cross-attention.
+    """
+    cfgs = _encoder_cfgs(meta)
+    for modality, cfg in cfgs.items():
+        _require(params, _encoder_names(modality, cfg))
+    if meta["stage"] == 1:
+        (modality,) = cfgs
+        return lambda record: (_modality_features(record, modality),)
+    s_cfg, t_cfg = cfgs["speech"], cfgs["text"]
+    s_view, t_view = params.view("speech."), params.view("text.")
+    concat = meta["fusion"] == "concat"
+
+    def frozen(record: UtteranceRecord) -> tuple:
+        if record.speech_frames is None or record.text_tokens is None:
+            raise ValueError(f"record {record.id!r}: dual-modality model needs both feature sets")
+        if concat:
+            es = model.encoder_forward(s_cfg, s_view, record.speech_frames)
+            et = model.encoder_forward(t_cfg, t_view, record.text_tokens)
+            return (model.concat_fuse(es, et).data,)
+        hs = model.frame_hidden(s_cfg, s_view, record.speech_frames)
+        ht = model.frame_hidden(t_cfg, t_view, record.text_tokens)
+        return (hs.data, ht.data)
+
+    return frozen
+
+
+@dataclass(frozen=True)
+class Model:
+    """A forward pass split where the graph starts.
+
+    ``frozen(record)`` returns plain arrays; ``head(features)`` builds the
+    graph from them over the trainable or loaded parameters.
+    """
+
+    frozen: Callable[[UtteranceRecord], tuple]
+    head: Callable[[tuple], nm.Tensor]
+
+    def __call__(self, record: UtteranceRecord) -> nm.Tensor:
+        return self.head(self.frozen(record))
+
+
+def build_model(meta: dict, params: nm.ParamStore) -> Model:
+    """The model a checkpoint's metadata describes, over ``params``.
+
+    Training and ``predict`` both build their forward pass here.
+    """
+    frozen = _frozen_part(meta, params)
+    # stage 1 has no fusion; the head does not depend on the fusion kind
+    head_cfg = model.FusionHeadCfg(
+        fusion=meta.get("fusion", "concat"), activation=meta["config"]["activation"],
+        task=meta["task"],
+    )
+    required = ["head.fc1.W", "head.fc1.b", "head.fc2.W", "head.fc2.b"]
+    if head_cfg.fusion == "cross_attention":
+        required += ["fusion.q.W", "fusion.k.W", "fusion.v.W"]
+    _require(params, required)
     head_view = params.view("head.")
 
-    def forward(record: UtteranceRecord) -> nm.Tensor:
-        feats = record.speech_frames if modality == "speech" else record.text_tokens
-        if feats is None:
-            raise ValueError(f"record {record.id!r}: missing {modality} features")
-        emb = model.encoder_forward(enc_cfg, enc_view, feats)
-        return model.fusion_head_forward(head_cfg, head_view, emb)
+    if meta["stage"] == 1:
+        ((modality, enc_cfg),) = _encoder_cfgs(meta).items()
+        enc_view = params.view(f"{modality}.")
 
-    best_state, best_dev, best_epoch, history = _run_epochs(
-        cfg, params, forward, train, dev, log_path
-    )
-    metadata = {
-        "stage": 1,
-        "modality": modality,
-        "task": cfg.task,
-        "seed": cfg.seed,
-        "config": cfg.echo(),
-        "encoder": {"frame_dim": dim, "hidden_dim": cfg.hidden_dim, "out_dim": cfg.out_dim},
-        "best_epoch": best_epoch,
-        "dev_metrics": best_dev,
-        "history": history,
-    }
-    return Checkpoint(tensors=best_state, metadata=metadata)
+        def head(features: tuple) -> nm.Tensor:
+            emb = model.encoder_forward(enc_cfg, enc_view, features[0])
+            return model.fusion_head_forward(head_cfg, head_view, emb)
+
+    elif head_cfg.fusion == "concat":
+
+        def head(features: tuple) -> nm.Tensor:
+            return model.fusion_head_forward(head_cfg, head_view, nm.Tensor(features[0]))
+
+    else:
+        fuse_view = params.view("fusion.")
+
+        def head(features: tuple) -> nm.Tensor:
+            hs, ht = features
+            fused = model.cross_attention_fuse(nm.Tensor(hs), nm.Tensor(ht), fuse_view)
+            return model.fusion_head_forward(head_cfg, head_view, fused)
+
+    return Model(frozen=frozen, head=head)
 
 
 # ---------------------------------------------------------------------------
-# stage 2
+# frozen-feature cache
 
-def _encoder_cfg_from_meta(meta: dict, modality: str) -> model.EncoderCfg:
-    enc = meta["encoder"]
-    if modality == "speech":
-        return model.SpeechEncoderCfg(enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
-    return model.TextEncoderCfg(enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
+@dataclass
+class FrozenFeatures:
+    """Concat fusion's frozen output for a fixed set of records: one packed
+    float64 row per record (speech embedding, then text), computed once.
+
+    Rows are reused only by a concat model whose encoder tensors equal the
+    ones they were computed with, bit for bit, and only for the very record
+    objects they were computed from; anything else is encoded afresh.
+    """
+
+    encoders: dict[str, np.ndarray]
+    records: list[UtteranceRecord]
+    index: dict[str, int]
+    rows: np.ndarray
+
+    @classmethod
+    def build(
+        cls, meta: dict, params: nm.ParamStore, records: Sequence[UtteranceRecord]
+    ) -> "FrozenFeatures":
+        frozen = _frozen_part(meta, params)
+        encoders = {n: params.value(n) for n in params if n.startswith(ENCODER_PREFIXES)}
+        rows = np.stack([frozen(r)[0] for r in records])
+        index = {r.id: i for i, r in enumerate(records)}
+        return cls(encoders=encoders, records=list(records), index=index, rows=rows)
+
+    def matches(self, meta: dict, tensors: Mapping[str, np.ndarray]) -> bool:
+        """Whether a stage-2 model with this metadata and these tensors
+        computes exactly these rows."""
+        if meta.get("fusion") != "concat":
+            return False
+        for name, arr in self.encoders.items():
+            other = tensors.get(name)
+            if other is None or other.shape != arr.shape or other.tobytes() != arr.tobytes():
+                return False
+        return True
+
+    def lookup(self, fallback: Callable[[UtteranceRecord], tuple]) -> Callable[[UtteranceRecord], tuple]:
+        def frozen(record: UtteranceRecord) -> tuple:
+            i = self.index.get(record.id)
+            if i is not None and self.records[i] is record:
+                return (self.rows[i],)
+            return fallback(record)
+
+        return frozen
+
+
+def _load_frozen_encoders(
+    params: nm.ParamStore, meta: dict, sources: Mapping[str, Checkpoint]
+) -> None:
+    for modality, cfg in _encoder_cfgs(meta).items():
+        tensors = sources[modality].tensors
+        for name in _encoder_names(modality, cfg):
+            if name not in tensors:
+                raise ValueError(f"checkpoint missing required tensor {name!r}")
+            params.add(name, tensors[name], trainable=False)
 
 
 def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
@@ -352,18 +479,59 @@ def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
         )
 
 
-def _load_frozen_encoder(
-    params: nm.ParamStore, ckpt: Checkpoint, modality: str
-) -> model.EncoderCfg:
-    enc_cfg = _encoder_cfg_from_meta(ckpt.metadata, modality)
-    rng = np.random.default_rng(0)
-    expected = [f"{modality}.{n}" for n in model.init_encoder_params(enc_cfg, rng)]
-    for name in expected:
-        if name not in ckpt.tensors:
-            raise ValueError(f"checkpoint missing required tensor {name!r}")
-        params.add(name, ckpt.tensors[name], trainable=False)
-    return enc_cfg
+def encode_frozen(
+    speech_ckpt: Checkpoint, text_ckpt: Checkpoint, records: Sequence[UtteranceRecord]
+) -> FrozenFeatures:
+    """Concat features of two stage-1 encoders for ``records``, to share
+    between stage-2 runs and ``predict`` calls over the same data."""
+    _check_stage1_source(speech_ckpt, "speech")
+    _check_stage1_source(text_ckpt, "text")
+    meta = {
+        "stage": 2, "fusion": "concat",
+        "speech_encoder": speech_ckpt.metadata["encoder"],
+        "text_encoder": text_ckpt.metadata["encoder"],
+    }
+    params = nm.ParamStore()
+    _load_frozen_encoders(params, meta, {"speech": speech_ckpt, "text": text_ckpt})
+    return FrozenFeatures.build(meta, params, records)
 
+
+# ---------------------------------------------------------------------------
+# stage 1
+
+def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=None) -> Checkpoint:
+    """Train one modality's encoder plus task head end-to-end."""
+    if cfg.stage != 1:
+        raise ValueError(f"train_stage1 requires cfg.stage == 1, got {cfg.stage}")
+    train, dev = _split_records(records, cfg.task)
+    modality = cfg.modality
+    dim = _feature_dim(train + dev, modality)
+    metadata = {
+        "stage": 1,
+        "modality": modality,
+        "task": cfg.task,
+        "seed": cfg.seed,
+        "config": cfg.echo(),
+        "encoder": {"frame_dim": dim, "hidden_dim": cfg.hidden_dim, "out_dim": cfg.out_dim},
+    }
+    enc_cfg = _encoder_cfgs(metadata)[modality]
+
+    rng = np.random.default_rng(cfg.seed)
+    params = nm.ParamStore()
+    for name, arr in model.init_encoder_params(enc_cfg, rng).items():
+        params.add(f"{modality}.{name}", arr)
+    for name, arr in model.init_head_params(cfg.out_dim, model.TASK_OUT_DIMS[cfg.task], rng).items():
+        params.add(f"head.{name}", arr)
+
+    best_state, best_dev, best_epoch, history = _run_epochs(
+        cfg, params, build_model(metadata, params), train, dev, log_path
+    )
+    metadata.update(best_epoch=best_epoch, dev_metrics=best_dev, history=history)
+    return Checkpoint(tensors=best_state, metadata=metadata)
+
+
+# ---------------------------------------------------------------------------
+# stage 2
 
 def train_stage2(
     cfg: TrainConfig,
@@ -371,57 +539,20 @@ def train_stage2(
     text_ckpt: Checkpoint,
     records: Sequence[UtteranceRecord],
     log_path=None,
+    cache: FrozenFeatures | None = None,
 ) -> Checkpoint:
     """Train the fusion head on frozen stage-1 encoders.
 
     Encoder tensors are loaded untrainable and never touched by the
     optimizer; only head (and cross-attention projection) parameters move.
+    Concat fusion encodes each record once, or reads ``cache`` when it was
+    built from these encoders (see ``encode_frozen``).
     """
     if cfg.stage != 2:
         raise ValueError(f"train_stage2 requires cfg.stage == 2, got {cfg.stage}")
     _check_stage1_source(speech_ckpt, "speech")
     _check_stage1_source(text_ckpt, "text")
     train, dev = _split_records(records, cfg.task)
-    head_cfg = model.FusionHeadCfg(fusion=cfg.fusion, activation=cfg.activation, task=cfg.task)
-
-    params = nm.ParamStore()
-    s_cfg = _load_frozen_encoder(params, speech_ckpt, "speech")
-    t_cfg = _load_frozen_encoder(params, text_ckpt, "text")
-
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.fusion == "cross_attention":
-        fuse_init = model.init_cross_attention_params(
-            s_cfg.hidden_dim, t_cfg.hidden_dim, cfg.attn_dim, rng
-        )
-        for name, arr in fuse_init.items():
-            params.add(f"fusion.{name}", arr)
-        head_in = cfg.attn_dim
-    else:
-        head_in = s_cfg.out_dim + t_cfg.out_dim
-    for name, arr in model.init_head_params(head_in, head_cfg.out_dim, rng).items():
-        params.add(f"head.{name}", arr)
-
-    s_view = params.view("speech.")
-    t_view = params.view("text.")
-    head_view = params.view("head.")
-    fuse_view = params.view("fusion.") if cfg.fusion == "cross_attention" else None
-
-    def forward(record: UtteranceRecord) -> nm.Tensor:
-        if record.speech_frames is None or record.text_tokens is None:
-            raise ValueError(f"record {record.id!r}: dual-modality model needs both feature sets")
-        if cfg.fusion == "concat":
-            es = model.encoder_forward(s_cfg, s_view, record.speech_frames)
-            et = model.encoder_forward(t_cfg, t_view, record.text_tokens)
-            fused = model.concat_fuse(es, et)
-        else:
-            hs = model.frame_hidden(s_cfg, s_view, record.speech_frames)
-            ht = model.frame_hidden(t_cfg, t_view, record.text_tokens)
-            fused = model.cross_attention_fuse(hs, ht, fuse_view)
-        return model.fusion_head_forward(head_cfg, head_view, fused)
-
-    best_state, best_dev, best_epoch, history = _run_epochs(
-        cfg, params, forward, train, dev, log_path
-    )
     metadata = {
         "stage": 2,
         "task": cfg.task,
@@ -434,90 +565,61 @@ def train_stage2(
         "attn_dim": cfg.attn_dim,
         "concat_order": list(CONCAT_ORDER),
         "sources": {"speech": speech_ckpt.content_id, "text": text_ckpt.content_id},
-        "best_epoch": best_epoch,
-        "dev_metrics": best_dev,
-        "history": history,
     }
+    cfgs = _encoder_cfgs(metadata)
+
+    params = nm.ParamStore()
+    _load_frozen_encoders(params, metadata, {"speech": speech_ckpt, "text": text_ckpt})
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.fusion == "cross_attention":
+        fuse_init = model.init_cross_attention_params(
+            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, cfg.attn_dim, rng
+        )
+        for name, arr in fuse_init.items():
+            params.add(f"fusion.{name}", arr)
+        head_in = cfg.attn_dim
+    else:
+        head_in = cfgs["speech"].out_dim + cfgs["text"].out_dim
+    for name, arr in model.init_head_params(head_in, model.TASK_OUT_DIMS[cfg.task], rng).items():
+        params.add(f"head.{name}", arr)
+
+    net = build_model(metadata, params)
+    if cfg.fusion == "concat":
+        tensors = {n: params.value(n) for n in params}
+        if cache is None or not cache.matches(metadata, tensors):
+            cache = FrozenFeatures.build(metadata, params, train + dev)
+        net = replace(net, frozen=cache.lookup(net.frozen))
+    best_state, best_dev, best_epoch, history = _run_epochs(
+        cfg, params, net, train, dev, log_path
+    )
+    metadata.update(best_epoch=best_epoch, dev_metrics=best_dev, history=history)
     return Checkpoint(tensors=best_state, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # inference
 
-def _rebuild_forward(ckpt: Checkpoint) -> Callable[[UtteranceRecord], nm.Tensor]:
-    meta = ckpt.metadata
+def predict(
+    ckpt: Checkpoint,
+    records: Sequence[UtteranceRecord],
+    clamp: bool = True,
+    cache: FrozenFeatures | None = None,
+) -> PredictionSet:
+    """Per-utterance labels or attribute triples, in input order.
+
+    ``cache`` is used only when it was built from this checkpoint's encoder
+    tensors; otherwise records are encoded afresh.
+    """
     params = nm.ParamStore()
-    task = meta["task"]
-    activation = meta["config"]["activation"]
-    if meta["stage"] == 1:
-        modality = meta["modality"]
-        enc_cfg = _encoder_cfg_from_meta(meta, modality)
-        head_cfg = model.FusionHeadCfg(fusion="concat", activation=activation, task=task)
-        for name, arr in ckpt.tensors.items():
-            params.add(name, arr, trainable=False)
-        for required in (f"{modality}.frame.W", "head.fc1.W", "head.fc2.W"):
-            if required not in params:
-                raise ValueError(f"checkpoint missing required tensor {required!r}")
-        enc_view = params.view(f"{modality}.")
-        head_view = params.view("head.")
-
-        def forward(record: UtteranceRecord) -> nm.Tensor:
-            feats = record.speech_frames if modality == "speech" else record.text_tokens
-            if feats is None:
-                raise ValueError(f"record {record.id!r}: missing {modality} features")
-            return model.fusion_head_forward(
-                head_cfg, head_view, model.encoder_forward(enc_cfg, enc_view, feats)
-            )
-
-        return forward
-
-    fusion = meta["fusion"]
-    s_cfg = model.SpeechEncoderCfg(**meta["speech_encoder"])
-    t_cfg = model.TextEncoderCfg(
-        token_dim=meta["text_encoder"]["frame_dim"],
-        hidden_dim=meta["text_encoder"]["hidden_dim"],
-        out_dim=meta["text_encoder"]["out_dim"],
-    )
-    head_cfg = model.FusionHeadCfg(fusion=fusion, activation=activation, task=task)
     for name, arr in ckpt.tensors.items():
         params.add(name, arr, trainable=False)
-    required = ["speech.frame.W", "text.frame.W", "head.fc1.W", "head.fc2.W"]
-    if fusion == "cross_attention":
-        required.append("fusion.q.W")
-    for name in required:
-        if name not in params:
-            raise ValueError(f"checkpoint missing required tensor {name!r}")
-    s_view = params.view("speech.")
-    t_view = params.view("text.")
-    head_view = params.view("head.")
-    fuse_view = params.view("fusion.") if fusion == "cross_attention" else None
-
-    def forward(record: UtteranceRecord) -> nm.Tensor:
-        if record.speech_frames is None or record.text_tokens is None:
-            raise ValueError(f"record {record.id!r}: dual-modality model needs both feature sets")
-        if fusion == "concat":
-            fused = model.concat_fuse(
-                model.encoder_forward(s_cfg, s_view, record.speech_frames),
-                model.encoder_forward(t_cfg, t_view, record.text_tokens),
-            )
-        else:
-            fused = model.cross_attention_fuse(
-                model.frame_hidden(s_cfg, s_view, record.speech_frames),
-                model.frame_hidden(t_cfg, t_view, record.text_tokens),
-                fuse_view,
-            )
-        return model.fusion_head_forward(head_cfg, head_view, fused)
-
-    return forward
-
-
-def predict(ckpt: Checkpoint, records: Sequence[UtteranceRecord], clamp: bool = True) -> PredictionSet:
-    """Per-utterance labels or attribute triples, in input order."""
-    forward = _rebuild_forward(ckpt)
+    net = build_model(ckpt.metadata, params)
+    if cache is not None and cache.matches(ckpt.metadata, ckpt.tensors):
+        net = replace(net, frozen=cache.lookup(net.frozen))
     task = ckpt.metadata["task"]
     preds = PredictionSet(task=task)
     for record in records:
-        out = forward(record).data
+        out = net(record).data
         if task == "categorical":
             preds.add_label(record.id, EMOTION_CODES[int(np.argmax(out))], logits=out.copy())
         else:
@@ -534,6 +636,6 @@ def frozen_tensor_hashes(ckpt: Checkpoint) -> dict[str, str]:
     """SHA-256 of each encoder tensor; used to verify the freeze contract."""
     out = {}
     for name, arr in ckpt.tensors.items():
-        if name.startswith(("speech.", "text.")):
+        if name.startswith(ENCODER_PREFIXES):
             out[name] = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
     return out

@@ -264,6 +264,17 @@ class TestSweeps:
         assert cli_dispatch(base + ["--parallel", "3", "--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_table1_parallel_rows_match_sequential(self, dataset, stage1_ckpts, tmp_path):
+        # the shared frozen-feature cache crosses the process boundary here
+        speech, text = stage1_ckpts
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        base = ["sweep", "table1", "--data", str(dataset), "--speech-ckpt", str(speech),
+                "--text-ckpt", str(text), "--seed", "3", "--lr", "0.005",
+                "--epochs", "1", "--split", "test1"]
+        assert cli_dispatch(base + ["--out", str(seq)]) == 0
+        assert cli_dispatch(base + ["--parallel", "2", "--out", str(par)]) == 0
+        assert seq.read_bytes() == par.read_bytes()
+
     def test_table1_schema(self, dataset, stage1_ckpts, tmp_path):
         speech, text = stage1_ckpts
         out = tmp_path / "table1.csv"

@@ -1,3 +1,9 @@
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +141,74 @@ class TestLabelsCsv:
         path = tmp_path / "labels.csv"
         write_labels(path, rows)
         assert read_labels(path) == rows
+
+
+# Reads a file in a child process whose address space is capped at 256 MB
+# above what the interpreter already maps, and prints how the read failed.
+CAPPED_READ = """
+import resource, sys
+from serlab import dataio
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+try:
+    getattr(dataio, sys.argv[1])(sys.argv[2])
+    print("read")
+except dataio.FormatError as err:
+    print("FormatError", err.offset)
+except MemoryError:
+    print("MemoryError")
+"""
+
+
+def _read_capped(reader: str, path) -> str:
+    src = str(Path(dataio.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", CAPPED_READ, reader, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+class TestLengthFieldsCheckedAgainstFileSize:
+    def test_huge_frame_count(self, tmp_path):
+        path = tmp_path / "huge.femb"
+        header = struct.pack("<4sIIQ", b"FEMB", 1, 4, 1)
+        path.write_bytes(header + struct.pack("<H", 1) + b"a" + struct.pack("<I", 0x7FFFFFFF))
+        # the frame count sits after the 20-byte header, id length and id
+        assert _read_capped("read_embeddings", path) == "FormatError 23"
+
+    def test_id_length_past_end(self, tmp_path):
+        path = tmp_path / "id.femb"
+        path.write_bytes(struct.pack("<4sIIQ", b"FEMB", 1, 4, 1) + struct.pack("<H", 0xFFFF) + b"a")
+        with pytest.raises(FormatError, match="byte offset 20"):
+            read_embeddings(path)
+
+    @staticmethod
+    def _fckp(meta_len=None, name_len=None, rank=1, dims=(1,)) -> bytes:
+        meta = b"{}"
+        out = struct.pack("<4sII", b"FCKP", 1, len(meta) if meta_len is None else meta_len)
+        out += meta + struct.pack("<I", 1)
+        out += struct.pack("<H", 1 if name_len is None else name_len) + b"t"
+        return out + struct.pack("<I", rank) + struct.pack(f"<{len(dims)}I", *dims)
+
+    @pytest.mark.parametrize("fields, offset", [
+        (dict(meta_len=0xFFFFFFFF), 8),          # metadata length
+        (dict(rank=0xFFFFFFFF, dims=()), 21),    # rank: 4 bytes per dim
+        (dict(rank=2, dims=(65536, 65536)), 25),  # shape product: 32 GB of float64
+    ])
+    def test_huge_checkpoint_lengths(self, tmp_path, fields, offset):
+        path = tmp_path / "huge.fckp"
+        path.write_bytes(self._fckp(**fields))
+        assert _read_capped("read_checkpoint", path) == f"FormatError {offset}"
+
+    def test_tensor_name_length_past_end(self, tmp_path):
+        path = tmp_path / "name.fckp"
+        path.write_bytes(self._fckp(name_len=0xFFFF))
+        with pytest.raises(FormatError, match="byte offset 18"):
+            read_checkpoint(path)
 
 
 class TestCheckpointFormat:

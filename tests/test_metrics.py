@@ -63,6 +63,15 @@ class TestClassificationMetrics:
         with pytest.raises(ValueError, match="unknown emotion code"):
             classification_metrics(["X"], ["A"])
 
+    def test_micro_accuracy_mismatch_raises_value_error(self):
+        # an explicit check, not an assert that ``python -O`` strips
+        rep = classification_metrics(["A", "C"], ["A", "A"])
+        with pytest.raises(ValueError, match="F1-micro must equal accuracy"):
+            metrics.ClassificationReport(
+                confusion=rep.confusion, per_class_f1=rep.per_class_f1, f1_macro=rep.f1_macro,
+                f1_micro=0.5, accuracy=0.25, classes_scored=rep.classes_scored,
+            )
+
 
 class TestAttributeMetrics:
     def test_perfect(self):

@@ -121,6 +121,11 @@ class TestEncoderForward:
             store.add(name, arr)
         return store, {n: store[n] for n in store.names()}
 
+    def test_param_names_match_initialization_order(self):
+        for cfg in (model.SpeechEncoderCfg(3, 4, 5), model.TextEncoderCfg(3, 4, 5)):
+            init = model.init_encoder_params(cfg, np.random.default_rng(0))
+            assert model.encoder_param_names(cfg) == tuple(init)
+
     def test_output_dim_independent_of_length(self):
         cfg = model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6)
         _, view = self._views(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from serlab.trainer import (
     Checkpoint,
     TrainConfig,
     adam_step,
+    encode_frozen,
     frozen_tensor_hashes,
     predict,
     train_stage1,
@@ -215,6 +217,59 @@ class TestStage2:
             "text": text.content_id,
         }
         assert ckpt.metadata["concat_order"] == ["speech", "text"]
+
+
+class TestFrozenFeatures:
+    """The concat cache changes no byte of any output."""
+
+    def _cfg(self, task, activation):
+        return TrainConfig(
+            stage=2, task=task, fusion="concat", activation=activation,
+            learning_rate=0.005, epochs=2, seed=8, batch_size=16,
+        )
+
+    @pytest.mark.parametrize("task", ["categorical", "attributes"])
+    @pytest.mark.parametrize("activation", ["mish", "relu"])
+    def test_prebuilt_cache_gives_byte_identical_checkpoints(
+        self, tiny_records, stage1_pair, tmp_path, task, activation
+    ):
+        speech, text = stage1_pair
+        cfg = self._cfg(task, activation)
+        # rows keyed to copies of the records are never read, so every
+        # forward pass encodes afresh: the uncached reference
+        copies = [dataclasses.replace(r) for r in tiny_records]
+        caches = {
+            "none": None,
+            "prebuilt": encode_frozen(speech, text, tiny_records),
+            "uncached": encode_frozen(speech, text, copies),
+        }
+        blobs = {}
+        for name, cache in caches.items():
+            path = tmp_path / f"{name}.fckp"
+            train_stage2(cfg, speech, text, tiny_records, cache=cache).save(path)
+            blobs[name] = path.read_bytes()
+        assert blobs["prebuilt"] == blobs["none"] == blobs["uncached"]
+
+    @pytest.mark.parametrize("task", ["categorical", "attributes"])
+    def test_predict_ignores_cache_of_other_encoders(self, tiny_records, stage1_pair, task):
+        speech, text = stage1_pair
+        ckpt = train_stage2(self._cfg(task, "relu"), speech, text, tiny_records)
+        dev = [r for r in tiny_records if r.split == "dev"]
+        moved = {k: v.copy() for k, v in speech.tensors.items()}
+        moved["speech.frame.W"][0, 0] = np.nextafter(moved["speech.frame.W"][0, 0], np.inf)
+        other = encode_frozen(Checkpoint(moved, speech.metadata), text, dev)
+        own = encode_frozen(speech, text, dev)
+        # the moved tensor changes the rows, so using them would show
+        assert not np.array_equal(other.rows, own.rows)
+        # unclamped, so no attribute difference hides at the range limits
+        fresh = predict(ckpt, dev, clamp=False)
+        for cache in (other, own):
+            got = predict(ckpt, dev, clamp=False, cache=cache)
+            assert got.ids == fresh.ids
+            assert got.labels == fresh.labels
+            assert got.attributes == fresh.attributes
+            for rid, logits in fresh.logits.items():
+                assert got.logits[rid].tobytes() == logits.tobytes()
 
 
 class TestPredict:
