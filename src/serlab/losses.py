@@ -75,11 +75,14 @@ def _validate_targets(targets: Sequence[int], batch: int) -> np.ndarray:
     return t.astype(np.int64)
 
 
-def _target_probs(logits: Tensor, targets: np.ndarray) -> Tensor:
+def _target_log_probs(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """log p_t = z_t - m - log sum exp(z - m), with m the row max held
+    constant: finite however far apart the logits are."""
     onehot = np.zeros((targets.size, NUM_CLASSES))
     onehot[np.arange(targets.size), targets] = 1.0
-    probs = nm.softmax(logits, axis=1)
-    return (probs * nm.tensor(onehot)).sum(axis=1)
+    shifted = logits - nm.Tensor(logits.data.max(axis=1, keepdims=True))
+    log_norm = nm.log(nm.exp(shifted).sum(axis=1))  # the sum is >= 1
+    return (shifted * nm.tensor(onehot)).sum(axis=1) - log_norm
 
 
 def weighted_cross_entropy(logits: Tensor, targets: Sequence[int], weights: ClassWeights) -> Tensor:
@@ -87,8 +90,7 @@ def weighted_cross_entropy(logits: Tensor, targets: Sequence[int], weights: Clas
     if logits.data.ndim != 2 or logits.shape[1] != NUM_CLASSES:
         raise ValueError(f"logits: expected B x {NUM_CLASSES}, got shape {logits.shape}")
     t = _validate_targets(targets, logits.shape[0])
-    pt = _target_probs(logits, t)
-    nll = -nm.log(pt)
+    nll = -_target_log_probs(logits, t)
     w = weights.weights[t]
     return (nll * nm.tensor(w)).sum() / nm.tensor(float(w.sum()))
 
@@ -98,8 +100,9 @@ def focal_loss(logits: Tensor, targets: Sequence[int], cfg: FocalConfig) -> Tens
     if logits.data.ndim != 2 or logits.shape[1] != NUM_CLASSES:
         raise ValueError(f"logits: expected B x {NUM_CLASSES}, got shape {logits.shape}")
     t = _validate_targets(targets, logits.shape[0])
-    pt = _target_probs(logits, t)
-    nll = -nm.log(pt)
+    log_pt = _target_log_probs(logits, t)
+    nll = -log_pt
+    pt = nm.exp(log_pt)
     modulator = nm.powf(1.0 - pt, cfg.gamma)
     a = cfg.alpha[t]
     per_sample = nll * modulator * nm.tensor(a)

@@ -4,13 +4,19 @@ Encoders are deliberately shallow: one affine+Mish frame layer, the
 modality's pooling (attentive statistics for speech, mean for text), and an
 affine projection.  That is enough structure to exercise the two-stage
 training scheme without transformer depth.
+
+A batch runs as one packed sequence: the frames of all its utterances in
+one (sum T) x D matrix plus their ``Segments``, with pooling written as
+products with the constant segment-indicator matrix.  Called on a single
+sequence, the encoder and the pooling layers run the same code on a
+one-segment batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,37 +88,107 @@ EncoderCfg = SpeechEncoderCfg | TextEncoderCfg
 
 
 # ---------------------------------------------------------------------------
+# packed batches
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Layout of a packed batch: B variable-length sequences stacked into one
+    (sum T) x D matrix, sequence b in the rows from ``offsets[b]`` on.
+
+    ``matrix`` is the constant 0/1 (B x sum T) segment indicator, so
+    ``matrix @ X`` sums each sequence's rows of X.
+    """
+
+    lengths: np.ndarray
+    offsets: np.ndarray
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, lengths: Sequence[int]) -> "Segments":
+        n = np.asarray(lengths, dtype=np.int64)
+        if n.ndim != 1 or n.size == 0:
+            raise ValueError("packed batch: no sequences")
+        if np.any(n < 1):
+            raise ValueError(f"packed batch: empty sequence at position {int(np.argmin(n))}")
+        matrix = np.zeros((n.size, int(n.sum())))
+        matrix[np.repeat(np.arange(n.size), n), np.arange(matrix.shape[1])] = 1.0
+        return cls(lengths=n, offsets=np.cumsum(n) - n, matrix=matrix)
+
+    @property
+    def total(self) -> int:
+        return self.matrix.shape[1]
+
+    def segment_max(self, x: np.ndarray) -> np.ndarray:
+        """Each entry of the packed vector ``x`` replaced by its sequence's max."""
+        return np.repeat(np.maximum.reduceat(x, self.offsets), self.lengths)
+
+
+def pack(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, Segments]:
+    """One (sum T) x D matrix and its layout from B sequences of T_b x D rows."""
+    return np.concatenate(seqs, axis=0), Segments.of([len(s) for s in seqs])
+
+
+def _segments(H: Tensor, segments: Segments | None, op: str) -> Segments:
+    """The layout to pool ``H`` with; a one-sequence call is one segment."""
+    if H.data.ndim != 2:
+        raise ValueError(f"{op}: expected T x D input, got {H.shape}")
+    if segments is None:
+        if H.shape[0] < 1:
+            raise ValueError(f"{op}: empty sequence")
+        return Segments.of([H.shape[0]])
+    if segments.total != H.shape[0]:
+        raise ValueError(f"{op}: {H.shape[0]} rows for a packed batch of {segments.total}")
+    return segments
+
+
+def _as_called(pooled: Tensor, segments: Segments | None) -> Tensor:
+    # a one-sequence call returns its single row as a vector (an exact sum)
+    return pooled if segments is not None else pooled.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # pooling
 
-def attention_weights(H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor) -> Tensor:
-    """Per-frame attention weights from scores v . tanh(W h_t + b) + k."""
-    if H.data.ndim != 2:
-        raise ValueError(f"attention_weights: expected T x D input, got {H.shape}")
-    if H.shape[0] < 1:
-        raise ValueError("attention_weights: empty sequence")
-    scores = nm.tanh(H @ W + b) @ v + k
-    return nm.softmax(scores, axis=0)
+def attention_weights(
+    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments | None = None
+) -> Tensor:
+    """Per-frame attention weights from scores v . tanh(W h_t + b) + k,
+    a softmax within each sequence.
 
-
-def attentive_stat_pool(H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor) -> Tensor:
-    """Attention-weighted mean and std over frames, concatenated.
-
-    The variance is clamped at zero and padded with VAR_EPS before the
-    square root so constant sequences stay differentiable.
+    Scores are shifted by their sequence's max, held constant; each frame's
+    denominator is its sequence's sum, spread back over the frames by
+    ``(S @ e) @ S``.
     """
-    alpha = attention_weights(H, W, b, v, k)
-    mu = alpha @ H
-    m2 = alpha @ nm.square(H)
+    seg = _segments(H, segments, "attention_weights")
+    scores = nm.tanh(H @ W + b) @ v + k
+    e = nm.exp(scores - nm.Tensor(seg.segment_max(scores.data)))
+    S = nm.Tensor(seg.matrix)
+    return e / ((S @ e) @ S)
+
+
+def attentive_stat_pool(
+    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments | None = None
+) -> Tensor:
+    """Attention-weighted mean and std over each sequence's frames, concatenated.
+
+    With ``segments`` the result is B x 2D for a packed H; without, H is one
+    sequence and the result a 2D vector.  The variance is clamped at zero and
+    padded with VAR_EPS before the square root so constant sequences stay
+    differentiable.
+    """
+    seg = _segments(H, segments, "attentive_stat_pool")
+    alpha = attention_weights(H, W, b, v, k, seg)
+    A = nm.Tensor(seg.matrix) * alpha  # row b holds sequence b's weights
+    mu = A @ H
+    m2 = A @ nm.square(H)
     sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + VAR_EPS)
-    return nm.concat([mu, sigma])
+    return _as_called(nm.concat([mu, sigma], axis=1), segments)
 
 
-def mean_pool(H: Tensor) -> Tensor:
-    if H.data.ndim != 2:
-        raise ValueError(f"mean_pool: expected T x D input, got {H.shape}")
-    if H.shape[0] < 1:
-        raise ValueError("mean_pool: empty sequence")
-    return H.mean(axis=0)
+def mean_pool(H: Tensor, segments: Segments | None = None) -> Tensor:
+    """Mean over each sequence's frames: B x D packed, a vector for one sequence."""
+    seg = _segments(H, segments, "mean_pool")
+    return _as_called(nm.Tensor(seg.matrix / seg.lengths[:, None]) @ H, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +241,8 @@ def init_cross_attention_params(
 # forward passes
 
 def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
-    """Per-frame affine+Mish features (T x hidden), before any pooling."""
+    """Per-frame affine+Mish features (T x hidden, or sum T x hidden for a
+    packed batch), before any pooling."""
     x = frames if isinstance(frames, Tensor) else nm.tensor(frames)
     in_dim = cfg.frame_dim if isinstance(cfg, SpeechEncoderCfg) else cfg.token_dim
     if x.data.ndim != 2 or x.shape[1] != in_dim:
@@ -175,13 +252,16 @@ def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
     return nm.mish(x @ p["frame.W"] + p["frame.b"])
 
 
-def encoder_forward(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
-    """Fixed-size embedding for a variable-length frame sequence."""
+def encoder_forward(
+    cfg: EncoderCfg, p: Mapping[str, Tensor], frames, segments: Segments | None = None
+) -> Tensor:
+    """Fixed-size embedding for a variable-length frame sequence, or B x out
+    embeddings for the packed frames of a batch laid out by ``segments``."""
     h = frame_hidden(cfg, p, frames)
     if isinstance(cfg, SpeechEncoderCfg):
-        pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"])
+        pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"], segments)
     else:
-        pooled = mean_pool(h)
+        pooled = mean_pool(h, segments)
     return pooled @ p["proj.W"] + p["proj.b"]
 
 
@@ -196,7 +276,8 @@ def concat_fuse(a: Tensor, b: Tensor) -> Tensor:
 
 
 def fusion_head_forward(cfg: FusionHeadCfg, p: Mapping[str, Tensor], fused: Tensor) -> Tensor:
-    """Two fully connected layers: F -> F with activation, then F -> out."""
+    """Two fully connected layers: F -> F with activation, then F -> out;
+    a B x F input gives B x out."""
     if cfg.activation == "mish":
         act = nm.mish
     elif cfg.activation == "relu":
@@ -211,7 +292,9 @@ def cross_attention_fuse(Hs: Tensor, Ht: Tensor, p: Mapping[str, Tensor]) -> Ten
     """Single-head scaled dot-product attention, text queries speech.
 
     Keys and values come from the speech frames, queries from the text
-    tokens; the attended rows are mean-pooled to one vector.
+    tokens; the attended rows are mean-pooled to one vector.  The 1/sqrt(d)
+    scale is folded into the query projection, so no extra Tt x Ts matrix is
+    built.
     """
     for name, t in (("speech", Hs), ("text", Ht)):
         if t.data.ndim != 2:
@@ -219,9 +302,8 @@ def cross_attention_fuse(Hs: Tensor, Ht: Tensor, p: Mapping[str, Tensor]) -> Ten
         if t.shape[0] < 1:
             raise ValueError(f"cross_attention_fuse: empty {name} sequence")
     attn_dim = p["q.W"].shape[1]
-    q = Ht @ p["q.W"]
+    q = Ht @ (p["q.W"] / math.sqrt(attn_dim))
     k = Hs @ p["k.W"]
     v = Hs @ p["v.W"]
-    scores = (q @ k.T) / math.sqrt(attn_dim)
-    weights = nm.softmax(scores, axis=1)
+    weights = nm.softmax(q @ k.T, axis=1)
     return (weights @ v).mean(axis=0)

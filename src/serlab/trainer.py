@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -146,19 +147,6 @@ def adam_step(
 # ---------------------------------------------------------------------------
 # shared training machinery
 
-def _feature_dim(records: Sequence[UtteranceRecord], modality: str) -> int:
-    attr = "speech_frames" if modality == "speech" else "text_tokens"
-    dims = set()
-    for r in records:
-        mat = getattr(r, attr)
-        if mat is None:
-            raise ValueError(f"record {r.id!r}: missing {modality} features")
-        dims.add(mat.shape[1])
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent {modality} feature dims: {sorted(dims)}")
-    return dims.pop()
-
-
 def _split_records(
     records: Sequence[UtteranceRecord], task: str
 ) -> tuple[list[UtteranceRecord], list[UtteranceRecord]]:
@@ -203,12 +191,9 @@ def _categorical_loss_fn(cfg: TrainConfig, train: Sequence[UtteranceRecord]) -> 
 
 
 def _batch_loss(
-    cfg: TrainConfig,
-    forward: Callable[[UtteranceRecord], nm.Tensor],
-    batch: Sequence[UtteranceRecord],
-    cat_loss: Callable | None,
+    cfg: TrainConfig, net: Model, batch: Sequence[UtteranceRecord], cat_loss: Callable | None
 ) -> nm.Tensor:
-    outputs = nm.stack_rows([forward(r) for r in batch])
+    outputs = net.forward(batch)
     if cfg.task == "categorical":
         targets = [code_to_index(r.emotion) for r in batch]
         return cat_loss(outputs, targets)
@@ -219,14 +204,15 @@ def _batch_loss(
 
 
 def _eval_dev(
-    task: str, forward: Callable[[UtteranceRecord], nm.Tensor], dev: Sequence[UtteranceRecord]
+    task: str, net: Model, dev: Sequence[UtteranceRecord], chunk: int
 ) -> dict[str, float]:
+    outputs = [row for _, row in net.outputs(dev, chunk)]
     if task == "categorical":
-        preds = [EMOTION_CODES[int(np.argmax(forward(r).data))] for r in dev]
+        preds = [EMOTION_CODES[int(np.argmax(row))] for row in outputs]
         truth = [r.emotion for r in dev]
         rep = classification_metrics(preds, truth)
         return {"f1_macro": rep.f1_macro, "f1_micro": rep.f1_micro, "accuracy": rep.accuracy}
-    pred = np.array([forward(r).data for r in dev])
+    pred = np.array(outputs)
     truth = np.array([r.attributes for r in dev])
     rep = attribute_metrics(pred, truth)
     return rep.to_dict()
@@ -236,10 +222,29 @@ def _selection_key(task: str) -> str:
     return "f1_macro" if task == "categorical" else "ccc_avg"
 
 
+class TrainingError(RuntimeError):
+    """A failure inside the epoch loop, located by stage, epoch and batch.
+
+    Inputs are checked before the first epoch, so what fails in the loop is
+    the run itself (a non-finite value, a degenerate batch), not its inputs.
+    """
+
+
+@contextmanager
+def _failure_site(cfg: TrainConfig, epoch: int, where: str) -> Iterator[None]:
+    try:
+        yield
+    except (ValueError, ArithmeticError) as err:
+        part = cfg.modality if cfg.stage == 1 else cfg.fusion
+        raise TrainingError(
+            f"stage-{cfg.stage} {part} training failed at epoch {epoch}, {where}: {err}"
+        ) from err
+
+
 def _run_epochs(
     cfg: TrainConfig,
     params: nm.ParamStore,
-    forward: Callable[[UtteranceRecord], nm.Tensor],
+    net: Model,
     train: Sequence[UtteranceRecord],
     dev: Sequence[UtteranceRecord],
     log_path=None,
@@ -257,15 +262,17 @@ def _run_epochs(
             plan = _make_plan(cfg, train, epoch)
             total = 0.0
             count = 0
-            for batch_idx in plan:
+            for step, batch_idx in enumerate(plan):
                 batch = [train[i] for i in batch_idx]
-                loss = _batch_loss(cfg, forward, batch, cat_loss)
-                nm.backward(loss, params)
-                grads = {name: params.grad(name) for name in state.m}
-                adam_step(params, grads, state, cfg.learning_rate)
+                with _failure_site(cfg, epoch, f"batch {step}"):
+                    loss = _batch_loss(cfg, net, batch, cat_loss)
+                    nm.backward(loss, params)
+                    grads = {name: params.grad(name) for name in state.m}
+                    adam_step(params, grads, state, cfg.learning_rate)
                 total += loss.item() * len(batch)
                 count += len(batch)
-            dev_metrics = _eval_dev(cfg.task, forward, dev)
+            with _failure_site(cfg, epoch, "dev evaluation"):
+                dev_metrics = _eval_dev(cfg.task, net, dev, cfg.batch_size)
             entry = {"epoch": epoch, "train_loss": total / count, "dev": dev_metrics}
             history.append(entry)
             if log_file:
@@ -313,19 +320,39 @@ def _require(params: nm.ParamStore, names: Sequence[str]) -> None:
             raise ValueError(f"checkpoint missing required tensor {name!r}")
 
 
-def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray:
-    feats = record.speech_frames if modality == "speech" else record.text_tokens
-    if feats is None:
-        raise ValueError(f"record {record.id!r}: missing {modality} features")
-    return feats
+def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray | None:
+    return record.speech_frames if modality == "speech" else record.text_tokens
+
+
+def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
+    """Reject records the model ``meta`` describes cannot read: a missing
+    modality, a feature width other than the encoder's or a non-finite
+    value.  Training calls this before the first epoch."""
+    cfgs = _encoder_cfgs(meta)
+    for r in records:
+        for modality, cfg in cfgs.items():
+            feats = _modality_features(r, modality)
+            if feats is None:
+                if len(cfgs) == 2:
+                    raise ValueError(f"record {r.id!r}: dual-modality model needs both feature sets")
+                raise ValueError(f"record {r.id!r}: missing {modality} features")
+            width = cfg.frame_dim if modality == "speech" else cfg.token_dim
+            if feats.shape[1] != width:  # records are T x D with T >= 1 by construction
+                raise ValueError(
+                    f"record {r.id!r}: expected T x {width} {modality} features, got {feats.shape}"
+                )
+            if not np.isfinite(feats).all():
+                raise ValueError(f"record {r.id!r}: non-finite {modality} features")
 
 
 def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[UtteranceRecord], tuple]:
     """``record -> arrays``: what the head reads, with no graph left behind.
 
     Stage 1 freezes nothing, so this only picks the modality's frames.  In
-    stage 2 it runs the frozen encoders: pooled embeddings, concatenated
-    speech first, for concat fusion; per-frame hiddens for cross-attention.
+    stage 2 it runs the frozen encoders one record at a time, so a record's
+    features never depend on the batch it is in: pooled embeddings,
+    concatenated speech first, for concat fusion; per-frame hiddens for
+    cross-attention.  Records are assumed to pass ``_check_inputs``.
     """
     cfgs = _encoder_cfgs(meta)
     for modality, cfg in cfgs.items():
@@ -338,8 +365,6 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[UtteranceRecord
     concat = meta["fusion"] == "concat"
 
     def frozen(record: UtteranceRecord) -> tuple:
-        if record.speech_frames is None or record.text_tokens is None:
-            raise ValueError(f"record {record.id!r}: dual-modality model needs both feature sets")
         if concat:
             es = model.encoder_forward(s_cfg, s_view, record.speech_frames)
             et = model.encoder_forward(t_cfg, t_view, record.text_tokens)
@@ -355,15 +380,24 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[UtteranceRecord
 class Model:
     """A forward pass split where the graph starts.
 
-    ``frozen(record)`` returns plain arrays; ``head(features)`` builds the
-    graph from them over the trainable or loaded parameters.
+    ``frozen(record)`` returns plain arrays; ``head(features)`` builds one
+    graph from a batch's list of them over the trainable or loaded
+    parameters and returns B x out outputs.
     """
 
     frozen: Callable[[UtteranceRecord], tuple]
-    head: Callable[[tuple], nm.Tensor]
+    head: Callable[[Sequence[tuple]], nm.Tensor]
 
-    def __call__(self, record: UtteranceRecord) -> nm.Tensor:
-        return self.head(self.frozen(record))
+    def forward(self, records: Sequence[UtteranceRecord]) -> nm.Tensor:
+        return self.head([self.frozen(r) for r in records])
+
+    def outputs(
+        self, records: Sequence[UtteranceRecord], chunk: int
+    ) -> Iterator[tuple[UtteranceRecord, np.ndarray]]:
+        """(record, output row) pairs, in order, one graph per ``chunk`` records."""
+        for start in range(0, len(records), chunk):
+            part = records[start:start + chunk]
+            yield from zip(part, self.forward(part).data)
 
 
 def build_model(meta: dict, params: nm.ParamStore) -> Model:
@@ -387,21 +421,27 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
         ((modality, enc_cfg),) = _encoder_cfgs(meta).items()
         enc_view = params.view(f"{modality}.")
 
-        def head(features: tuple) -> nm.Tensor:
-            emb = model.encoder_forward(enc_cfg, enc_view, features[0])
+        def head(features: Sequence[tuple]) -> nm.Tensor:
+            frames, segments = model.pack([f[0] for f in features])
+            emb = model.encoder_forward(enc_cfg, enc_view, frames, segments)
             return model.fusion_head_forward(head_cfg, head_view, emb)
 
     elif head_cfg.fusion == "concat":
 
-        def head(features: tuple) -> nm.Tensor:
-            return model.fusion_head_forward(head_cfg, head_view, nm.Tensor(features[0]))
+        def head(features: Sequence[tuple]) -> nm.Tensor:
+            fused = nm.Tensor(np.stack([f[0] for f in features]))
+            return model.fusion_head_forward(head_cfg, head_view, fused)
 
     else:
         fuse_view = params.view("fusion.")
 
-        def head(features: tuple) -> nm.Tensor:
-            hs, ht = features
-            fused = model.cross_attention_fuse(nm.Tensor(hs), nm.Tensor(ht), fuse_view)
+        def head(features: Sequence[tuple]) -> nm.Tensor:
+            # one attention per utterance: a packed block-diagonal score
+            # matrix would grow as (sum T)^2
+            fused = nm.stack_rows([
+                model.cross_attention_fuse(nm.Tensor(hs), nm.Tensor(ht), fuse_view)
+                for hs, ht in features
+            ])
             return model.fusion_head_forward(head_cfg, head_view, fused)
 
     return Model(frozen=frozen, head=head)
@@ -430,6 +470,7 @@ class FrozenFeatures:
         cls, meta: dict, params: nm.ParamStore, records: Sequence[UtteranceRecord]
     ) -> "FrozenFeatures":
         frozen = _frozen_part(meta, params)
+        _check_inputs(meta, records)
         encoders = {n: params.value(n) for n in params if n.startswith(ENCODER_PREFIXES)}
         rows = np.stack([frozen(r)[0] for r in records])
         index = {r.id: i for i, r in enumerate(records)}
@@ -505,16 +546,21 @@ def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=
         raise ValueError(f"train_stage1 requires cfg.stage == 1, got {cfg.stage}")
     train, dev = _split_records(records, cfg.task)
     modality = cfg.modality
-    dim = _feature_dim(train + dev, modality)
+    first = _modality_features(train[0], modality)
+    if first is None:
+        raise ValueError(f"record {train[0].id!r}: missing {modality} features")
     metadata = {
         "stage": 1,
         "modality": modality,
         "task": cfg.task,
         "seed": cfg.seed,
         "config": cfg.echo(),
-        "encoder": {"frame_dim": dim, "hidden_dim": cfg.hidden_dim, "out_dim": cfg.out_dim},
+        "encoder": {
+            "frame_dim": first.shape[1], "hidden_dim": cfg.hidden_dim, "out_dim": cfg.out_dim,
+        },
     }
     enc_cfg = _encoder_cfgs(metadata)[modality]
+    _check_inputs(metadata, train + dev)  # every record at the first one's width
 
     rng = np.random.default_rng(cfg.seed)
     params = nm.ParamStore()
@@ -567,6 +613,7 @@ def train_stage2(
         "sources": {"speech": speech_ckpt.content_id, "text": text_ckpt.content_id},
     }
     cfgs = _encoder_cfgs(metadata)
+    _check_inputs(metadata, train + dev)
 
     params = nm.ParamStore()
     _load_frozen_encoders(params, metadata, {"speech": speech_ckpt, "text": text_ckpt})
@@ -607,6 +654,7 @@ def predict(
 ) -> PredictionSet:
     """Per-utterance labels or attribute triples, in input order.
 
+    Records are scored in chunks of the checkpoint's training batch size.
     ``cache`` is used only when it was built from this checkpoint's encoder
     tensors; otherwise records are encoded afresh.
     """
@@ -614,12 +662,12 @@ def predict(
     for name, arr in ckpt.tensors.items():
         params.add(name, arr, trainable=False)
     net = build_model(ckpt.metadata, params)
+    _check_inputs(ckpt.metadata, records)
     if cache is not None and cache.matches(ckpt.metadata, ckpt.tensors):
         net = replace(net, frozen=cache.lookup(net.frozen))
     task = ckpt.metadata["task"]
     preds = PredictionSet(task=task)
-    for record in records:
-        out = net(record).data
+    for record, out in net.outputs(records, ckpt.metadata["config"]["batch_size"]):
         if task == "categorical":
             preds.add_label(record.id, EMOTION_CODES[int(np.argmax(out))], logits=out.copy())
         else:

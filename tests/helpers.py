@@ -1,5 +1,6 @@
-"""Shared test utilities: the finite-difference gradient oracle and a
-throwaway chat-completion server for exercising the LLM client."""
+"""Shared test utilities: the finite-difference gradient oracle, the
+per-utterance encoder oracle for packed batches, and a throwaway
+chat-completion server for exercising the LLM client."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from serlab import model
 from serlab import numerics as nm
 
 
@@ -65,6 +67,31 @@ def check_gradients(
         scale = max(1.0, float(np.max(np.abs(n))))
         err = float(np.max(np.abs(a - n))) / scale
         assert err < rtol, f"gradient mismatch for {name!r}: rel err {err:.3e}"
+
+
+def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
+    """Attentive statistics pooling of one sequence through a plain softmax:
+    the per-utterance form the packed pooling must reproduce."""
+    alpha = nm.softmax(nm.tanh(H @ W + b) @ v + k, axis=0)
+    mu = alpha @ H
+    m2 = alpha @ nm.square(H)
+    sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + model.VAR_EPS)
+    return nm.concat([mu, sigma])
+
+
+def oracle_encoder_forward(cfg, p, frames) -> nm.Tensor:
+    """One utterance's embedding, one graph per utterance."""
+    h = model.frame_hidden(cfg, p, frames)
+    if isinstance(cfg, model.SpeechEncoderCfg):
+        pooled = oracle_attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"])
+    else:
+        pooled = h.mean(axis=0)
+    return pooled @ p["proj.W"] + p["proj.b"]
+
+
+def oracle_encode_batch(cfg, p, seqs) -> nm.Tensor:
+    """B x out embeddings of a batch, utterance by utterance."""
+    return nm.stack_rows([oracle_encoder_forward(cfg, p, s) for s in seqs])
 
 
 class MockChatServer:

@@ -99,6 +99,16 @@ class TestExitCodes:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert cli_dispatch(["replay", "--manifest", str(out / "manifest.json")]) == 2
 
+    def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
+        code = cli_dispatch(
+            ["train-stage1", "--data", str(dataset), "--modality", "text", "--task", "categorical",
+             "--lr", "1e300", "--epochs", "2", "--seed", "3", "--out", str(tmp_path / "t.fckp")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage-1 text training failed at epoch 0, batch 1: " in err
+        assert not (tmp_path / "t.fckp").exists()
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_dispatch(["train-stage1", "--help"])

@@ -230,3 +230,34 @@ class TestMse:
         loss = losses.mse_loss(nm.tensor(pred), truth)
         assert abs(loss.item() - np.mean((pred - truth) ** 2)) < 1e-12
         check_gradients(lambda s: losses.mse_loss(s["pred"], truth), {"pred": pred.copy()})
+
+
+class TestExtremeLogits:
+    """Logits far apart give a target probability that underflows to 0;
+    the loss goes through log-probabilities and stays finite."""
+
+    def _logits(self):
+        logits = np.zeros((2, 8))
+        logits[0, 0] = 1000.0  # target 3 gets p = e^-1000
+        logits[1, 3] = -800.0  # target 3 gets p = e^-800 / 7
+        return logits
+
+    @pytest.mark.parametrize("name", ["wce", "focal"])
+    def test_finite_loss_and_gradients(self, name):
+        targets = [3, 3]
+        if name == "wce":
+            weights = losses.ClassWeights(np.arange(1.0, 9.0))
+            build = lambda s: losses.weighted_cross_entropy(s["logits"], targets, weights)
+        else:
+            build = lambda s: losses.focal_loss(s["logits"], targets, losses.FocalConfig(gamma=2.0))
+        store = nm.ParamStore()
+        store.add("logits", self._logits())
+        loss = build(store)
+        nm.backward(loss, store)
+        grad = store.grad("logits")
+        # -log p_t is 1000 and 800 + log 7; both samples share the class weight
+        assert loss.item() == pytest.approx((1000.0 + 800.0 + math.log(7.0)) / 2, rel=1e-12)
+        assert np.isfinite(grad).all()
+        # d(-log p_t)/dz = p - onehot: the far logit takes the whole mass
+        assert grad[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert grad[0, 3] == pytest.approx(-0.5, rel=1e-12)

@@ -11,6 +11,7 @@ from serlab.trainer import (
     AdamState,
     Checkpoint,
     TrainConfig,
+    TrainingError,
     adam_step,
     encode_frozen,
     frozen_tensor_hashes,
@@ -334,3 +335,24 @@ class TestTrainingDynamics:
         losses = [e["train_loss"] for e in ckpt.metadata["history"]]
         for a, b in zip(losses[2:], losses[3:]):
             assert b <= a + 1e-9
+
+
+class TestTrainingFailures:
+    def test_numeric_failure_names_stage_epoch_batch_and_op(self, tiny_records):
+        # the first update sends the weights to ~1e300; the next forward overflows
+        with pytest.raises(TrainingError) as info:
+            train_stage1(_quick_cfg(learning_rate=1e300, epochs=2), tiny_records)
+        msg = str(info.value)
+        assert "stage-1 speech training failed at epoch 0, batch 1: " in msg
+        assert "mish: non-finite input" in msg
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_bad_input_is_rejected_before_the_first_epoch(self, tiny_records, tmp_path):
+        bad = list(tiny_records)
+        frames = bad[-1].speech_frames.copy()
+        frames[0, 0] = np.nan
+        bad[-1] = dataclasses.replace(bad[-1], speech_frames=frames)
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ValueError, match="non-finite speech features"):
+            train_stage1(_quick_cfg(), bad, log_path=log)
+        assert not log.exists()
