@@ -8,13 +8,16 @@ outputs reproduce byte-for-byte.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
-Config files are flat ``key = value`` lines (``#`` comments); command-line
-flags override file values.  ``--seed`` is mandatory for train commands.
+Config files are flat ``key = value`` lines (``#`` comments).  Each line
+enters the parse as ``--key=value`` ahead of the typed flags, so file values
+are typed and checked like flags and any typed flag overrides them.
+``--seed`` is mandatory for train commands and sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -33,6 +36,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Flags match only in full, so a config key must name a flag exactly."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); route to exit code 1
         raise UsageError(message)
 
@@ -56,27 +64,17 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill namespace values from the config file; explicit flags win."""
-    if getattr(args, "config", None) is None:
-        return
-    for key, value in load_config_file(args.config).items():
-        if not hasattr(args, key):
-            raise UsageError(f"--config: unknown key {key!r}")
-        if f"--{key.replace('_', '-')}" in argv:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            if value.lower() not in ("true", "false"):
-                raise UsageError(f"--config: key {key!r} expects true/false, got {value!r}")
-            value = value.lower() == "true"
-        setattr(args, key, value)
-
-
-def _check_required(args: argparse.Namespace) -> None:
-    for dest in getattr(args, "_required", ()):
-        if getattr(args, dest, None) is None:
-            raise UsageError(f"missing required flag --{dest.replace('_', '-')}")
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's lines as ``--key=value`` flags
+    right after the command words, so the flags typed after them win."""
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in load_config_file(path).items()]
+    words = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    return argv[:words] + flags + argv[words:]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ def write_manifest(
         "inputs": {str(p): _sha256_file(p) for p in inputs if Path(p).exists()},
         "outputs": {str(p): _sha256_file(p) for p in outputs},
     }
-    Path(manifest_path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dataio.write_json(manifest_path, doc)
 
 
 def _dataset_paths(data_dir) -> list[Path]:
@@ -109,27 +107,34 @@ def _dataset_paths(data_dir) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
+# flag types
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _float_rows(text: str) -> list[tuple[float, ...]]:
+    return [_float_list(row) for row in text.split(";")]
+
+
+def _switch(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# ---------------------------------------------------------------------------
 # small helpers
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-
-
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise UsageError("--seed is mandatory for train commands")
-    return int(args.seed)
-
 
 def _load_records(data_dir, split: str | None = None):
     records = dataio.load_dataset(data_dir)
@@ -154,68 +159,58 @@ def _labels_by_id(labels_path, split: str | None) -> dict[str, LabelRow]:
     return {r.id: r for r in rows}
 
 
-def _paired_classification(preds: PredictionSet, truth: dict[str, LabelRow]):
-    pred_codes, truth_codes = [], []
-    for rid in preds.ids:
-        if rid not in preds.labels:
-            continue
+def _truth_rows(ids, truth: dict[str, LabelRow], need: str) -> list:
+    """The ``need`` field (``emotion`` or ``attributes``) of each id's label row."""
+    out = []
+    for rid in ids:
         row = truth.get(rid)
         if row is None:
             raise ValueError(f"prediction id {rid!r} not found in labels")
-        if row.emotion is None:
-            raise ValueError(f"record {rid!r} has no emotion label")
-        pred_codes.append(preds.labels[rid])
-        truth_codes.append(row.emotion)
-    return pred_codes, truth_codes
-
-
-def _paired_attributes(preds: PredictionSet, truth: dict[str, LabelRow]):
-    p, t = [], []
-    for rid in preds.ids:
-        if rid not in preds.attributes:
-            continue
-        row = truth.get(rid)
-        if row is None:
-            raise ValueError(f"prediction id {rid!r} not found in labels")
-        if row.attributes is None:
-            raise ValueError(f"record {rid!r} has no attribute labels")
-        p.append(preds.attributes[rid])
-        t.append(row.attributes)
-    return np.array(p), np.array(t)
+        if getattr(row, need) is None:
+            raise ValueError(f"record {rid!r} has no {need} label")
+        out.append(getattr(row, need))
+    return out
 
 
 def _build_report(preds: PredictionSet, truth: dict[str, LabelRow]) -> MetricsReport:
     classification = None
     attributes = None
     if preds.labels:
-        pred_codes, truth_codes = _paired_classification(preds, truth)
-        classification = metrics.classification_metrics(pred_codes, truth_codes)
+        ids = [rid for rid in preds.ids if rid in preds.labels]
+        classification = metrics.classification_metrics(
+            [preds.labels[rid] for rid in ids], _truth_rows(ids, truth, "emotion")
+        )
     if preds.attributes:
-        p, t = _paired_attributes(preds, truth)
-        attributes = metrics.attribute_metrics(p, t)
+        ids = [rid for rid in preds.ids if rid in preds.attributes]
+        attributes = metrics.attribute_metrics(
+            np.array([preds.attributes[rid] for rid in ids]),
+            np.array(_truth_rows(ids, truth, "attributes")),
+        )
     if classification is None and attributes is None:
         raise ValueError("prediction file holds neither labels nor attributes")
     return MetricsReport(classification=classification, attributes=attributes)
+
+
+def _write_table(path, rows: list[str]) -> None:
+    """A metrics CSV: the header line, then one line per row."""
+    with dataio.atomic_write(path) as f:
+        f.write("\n".join([metrics.csv_header()] + rows) + "\n")
 
 
 def _write_report(out_prefix, method: str, report: MetricsReport, extra: dict | None = None):
     out = Path(out_prefix)
     csv_path = out.with_suffix(".csv")
     json_path = out.with_suffix(".json")
-    csv_path.write_text(
-        metrics.csv_header() + "\n" + report.csv_row(method) + "\n", encoding="utf-8"
-    )
+    _write_table(csv_path, [report.csv_row(method)])
     doc = report.to_dict()
     doc["method"] = method
     if extra:
         doc.update(extra)
-    json_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dataio.write_json(json_path, doc)
     return [csv_path, json_path]
 
 
 def _attribute_column(preds: PredictionSet, attribute: str) -> tuple[list[str], list[float]]:
-    if attribute not in ATTRIBUTE_NAMES:
-        raise UsageError(f"--attribute: unknown attribute {attribute!r}")
     col = ATTRIBUTE_NAMES.index(attribute)
     ids = [rid for rid in preds.ids if rid in preds.attributes]
     if not ids:
@@ -225,44 +220,20 @@ def _attribute_column(preds: PredictionSet, attribute: str) -> tuple[list[str], 
 
 def _truth_column(ids, truth: dict[str, LabelRow], attribute: str) -> list[float]:
     col = ATTRIBUTE_NAMES.index(attribute)
-    out = []
-    for rid in ids:
-        row = truth.get(rid)
-        if row is None:
-            raise ValueError(f"prediction id {rid!r} not found in labels")
-        if row.attributes is None:
-            raise ValueError(f"record {rid!r} has no attribute labels")
-        out.append(row.attributes[col])
-    return out
+    return [triple[col] for triple in _truth_rows(ids, truth, "attributes")]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+def _given_fields(cls, args) -> dict:
+    """The given flags whose dests name a field of dataclass ``cls``."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _cmd_gen_synth(args, argv) -> int:
-    kwargs = {}
-    if args.class_counts is not None:
-        kwargs["class_counts"] = tuple(_parse_int_list(args.class_counts, "--class-counts"))
-    if args.speech_dim is not None:
-        kwargs["speech_dim"] = int(args.speech_dim)
-    if args.text_dim is not None:
-        kwargs["text_dim"] = int(args.text_dim)
-    if args.frame_range is not None:
-        lo, hi = _parse_int_list(args.frame_range, "--frame-range")
-        kwargs["frame_range"] = (lo, hi)
-    if args.separation is not None:
-        kwargs["separation"] = float(args.separation)
-    if args.noise_sigma is not None:
-        kwargs["noise_sigma"] = float(args.noise_sigma)
-    if args.split_fractions is not None:
-        fr = _parse_float_list(args.split_fractions, "--split-fractions")
-        kwargs["split_fractions"] = tuple(fr)
-    if args.anchors is not None:
-        rows = [_parse_float_list(group, "--anchors") for group in args.anchors.split(";")]
-        kwargs["anchors"] = np.array(rows)
-    if args.seed is not None:
-        kwargs["seed"] = int(args.seed)
-    cfg = dataio.SynthConfig(**kwargs)
+    cfg = dataio.SynthConfig(**_given_fields(dataio.SynthConfig, args))
     records = dataio.gen_synthetic(cfg)
     paths = dataio.write_dataset(args.out, records)
     inputs = [args.config] if args.config else []
@@ -274,59 +245,24 @@ def _cmd_gen_synth(args, argv) -> int:
     return 0
 
 
-def _train_config_from_args(args, stage: int) -> TrainConfig:
-    kwargs = dict(
-        stage=stage,
-        task=args.task,
-        sampler=args.sampler,
-        activation=args.activation,
-        batch_size=int(args.batch_size),
-        seed=_require_seed(args),
-        hidden_dim=int(args.hidden_dim),
-        out_dim=int(args.out_dim),
-        focal_gamma=float(args.focal_gamma),
-    )
-    if args.loss is not None:
-        kwargs["loss"] = args.loss
-    if args.lr is not None:
-        kwargs["learning_rate"] = float(args.lr)
-    if args.epochs is not None:
-        kwargs["epochs"] = int(args.epochs)
-    if stage == 1:
-        kwargs["modality"] = args.modality
+def _cmd_train(args, argv) -> int:
+    cfg = TrainConfig(**_given_fields(TrainConfig, args))
+    records = _load_records(args.data)
+    inputs = _dataset_paths(args.data)
+    if cfg.stage == 1:
+        ckpt = trainer.train_stage1(cfg, records, log_path=args.log)
     else:
-        kwargs["fusion"] = args.fusion
-        kwargs["attn_dim"] = int(args.attn_dim)
-    return TrainConfig(**kwargs)
-
-
-def _cmd_train_stage1(args, argv) -> int:
-    cfg = _train_config_from_args(args, stage=1)
-    records = _load_records(args.data)
-    ckpt = trainer.train_stage1(cfg, records, log_path=args.log)
+        speech_ckpt = Checkpoint.load(args.speech_ckpt)
+        text_ckpt = Checkpoint.load(args.text_ckpt)
+        ckpt = trainer.train_stage2(cfg, speech_ckpt, text_ckpt, records, log_path=args.log)
+        inputs += [args.speech_ckpt, args.text_ckpt]
     ckpt.save(args.out)
     outputs = [args.out] + ([args.log] if args.log else [])
     write_manifest(
-        str(args.out) + ".manifest.json", "train-stage1", argv,
-        _dataset_paths(args.data), outputs, seed=cfg.seed,
+        str(args.out) + ".manifest.json", args.command, argv, inputs, outputs, seed=cfg.seed
     )
-    print(f"stage-1 {cfg.modality}/{cfg.task} best dev: {ckpt.metadata['dev_metrics']}")
-    return 0
-
-
-def _cmd_train_stage2(args, argv) -> int:
-    cfg = _train_config_from_args(args, stage=2)
-    records = _load_records(args.data)
-    speech_ckpt = Checkpoint.load(args.speech_ckpt)
-    text_ckpt = Checkpoint.load(args.text_ckpt)
-    ckpt = trainer.train_stage2(cfg, speech_ckpt, text_ckpt, records, log_path=args.log)
-    ckpt.save(args.out)
-    inputs = _dataset_paths(args.data) + [args.speech_ckpt, args.text_ckpt]
-    outputs = [args.out] + ([args.log] if args.log else [])
-    write_manifest(
-        str(args.out) + ".manifest.json", "train-stage2", argv, inputs, outputs, seed=cfg.seed
-    )
-    print(f"stage-2 {cfg.fusion}/{cfg.task} best dev: {ckpt.metadata['dev_metrics']}")
+    kind = cfg.modality if cfg.stage == 1 else cfg.fusion
+    print(f"stage-{cfg.stage} {kind}/{cfg.task} best dev: {ckpt.metadata['dev_metrics']}")
     return 0
 
 
@@ -361,15 +297,14 @@ def _cmd_analyze_bins(args, argv) -> int:
     truth = _labels_by_id(args.labels, args.split)
     ids, pred_col = _attribute_column(preds, args.attribute)
     truth_col = _truth_column(ids, truth, args.attribute)
-    edges = _parse_float_list(args.edges, "--edges")
-    bins = metrics.binned_ccc(pred_col, truth_col, edges)
+    bins = metrics.binned_ccc(pred_col, truth_col, args.edges)
     doc = {
         "attribute": args.attribute,
-        "edges": edges,
+        "edges": args.edges,
         "bins": [b.to_dict() for b in bins],
         "overall_ccc": metrics.ccc(pred_col, truth_col),
     }
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dataio.write_json(args.out, doc)
     write_manifest(
         str(args.out) + ".manifest.json", "analyze bins", argv, [args.pred, args.labels], [args.out]
     )
@@ -399,7 +334,7 @@ def _cmd_analyze_stats(args, argv) -> int:
         print(f"truth:      {metrics.format_mean_std(tmean, tstd)}")
         inputs.append(args.labels)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        dataio.write_json(args.out, doc)
         write_manifest(str(args.out) + ".manifest.json", "analyze stats", argv, inputs, [args.out])
     return 0
 
@@ -413,16 +348,11 @@ def _cmd_analyze_compare(args, argv) -> int:
     if ids != ids_b:
         raise ValueError("compare: the two prediction files cover different ids")
     truth_col = _truth_column(ids, truth, args.attribute)
-    emotions = []
-    for rid in ids:
-        row = truth[rid]
-        if row.emotion is None:
-            raise ValueError(f"record {rid!r} has no emotion label for the comparison")
-        emotions.append(row.emotion)
+    emotions = _truth_rows(ids, truth, "emotion")
     report = metrics.compare_models(col_a, col_b, truth_col, emotions)
     doc = report.to_dict()
     doc["attribute"] = args.attribute
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    dataio.write_json(args.out, doc)
     write_manifest(
         str(args.out) + ".manifest.json", "analyze compare", argv,
         [args.pred_a, args.pred_b, args.labels], [args.out],
@@ -464,22 +394,18 @@ def _cmd_llm_run(args, argv) -> int:
     endpoint = llmproto.LlmEndpointConfig(
         base_url=args.endpoint,
         model=args.model,
-        timeout=float(args.timeout),
-        max_retries=int(args.retries),
+        timeout=args.timeout,
+        max_retries=args.retries,
         cache_path=args.cache,
-        parallelism=int(args.parallelism),
+        parallelism=args.parallelism,
     )
     report = llmproto.run_llm_eval(endpoint, args.task, items)
     dataio.write_predictions(args.out, report.predictions)
     failures_path = Path(str(args.out) + ".failures.json")
-    failures_path.write_text(
-        json.dumps(
-            {"failures": report.failures, "failure_count": report.failure_count,
-             "cache_hits": report.cache_hits, "requests_made": report.requests_made},
-            sort_keys=True, indent=2,
-        ) + "\n",
-        encoding="utf-8",
-    )
+    dataio.write_json(failures_path, {
+        "failures": report.failures, "failure_count": report.failure_count,
+        "cache_hits": report.cache_hits, "requests_made": report.requests_made,
+    })
     write_manifest(
         str(args.out) + ".manifest.json", "llm run", argv, [args.transcripts],
         [args.out, failures_path],
@@ -567,24 +493,23 @@ def _table1_row(job) -> str:
 
 
 def _cmd_sweep_table1(args, argv) -> int:
-    seed = _require_seed(args)
     opts = _sweep_data(args)
     speech_ckpt = Checkpoint.load(args.speech_ckpt)
     text_ckpt = Checkpoint.load(args.text_ckpt)
     # every row trains on train + dev and scores the split: encode those once
     used = [r for r in opts["records"] if r.split in ("train", "dev", args.split)]
     opts.update({
-        "seed": seed, "speech_ckpt": speech_ckpt, "text_ckpt": text_ckpt,
+        "seed": args.seed, "speech_ckpt": speech_ckpt, "text_ckpt": text_ckpt,
         "cache": trainer.encode_frozen(speech_ckpt, text_ckpt, used),
-        "batch_size": int(args.batch_size), "attn_dim": int(args.attn_dim),
-        "lr": float(args.lr) if args.lr is not None else None,
-        "epochs": int(args.epochs) if args.epochs is not None else None,
+        "batch_size": args.batch_size, "attn_dim": args.attn_dim,
+        "lr": args.lr, "epochs": args.epochs,
     })
     jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
-    rows = _run_sweep_rows(jobs, _table1_row, int(args.parallel))
-    Path(args.out).write_text("\n".join([metrics.csv_header()] + rows) + "\n", encoding="utf-8")
+    _write_table(args.out, _run_sweep_rows(jobs, _table1_row, args.parallel))
     inputs = _dataset_paths(args.data) + [args.speech_ckpt, args.text_ckpt]
-    write_manifest(str(args.out) + ".manifest.json", "sweep table1", argv, inputs, [args.out], seed=seed)
+    write_manifest(
+        str(args.out) + ".manifest.json", "sweep table1", argv, inputs, [args.out], seed=args.seed
+    )
     return 0
 
 
@@ -602,20 +527,16 @@ def _table2_row(job) -> str:
 
 
 def _cmd_sweep_table2(args, argv) -> int:
-    seed = _require_seed(args)
     opts = _sweep_data(args)
     opts.update({
-        "seed": seed, "modality": args.modality, "batch_size": int(args.batch_size),
-        "focal_gamma": float(args.focal_gamma),
-        "lr": float(args.lr) if args.lr is not None else None,
-        "epochs": int(args.epochs) if args.epochs is not None else None,
+        "seed": args.seed, "modality": args.modality, "batch_size": args.batch_size,
+        "focal_gamma": args.focal_gamma, "lr": args.lr, "epochs": args.epochs,
     })
     jobs = [(method, loss, sampler, gamma, opts) for method, loss, sampler, gamma in TABLE2_ROWS]
-    rows = _run_sweep_rows(jobs, _table2_row, int(args.parallel))
-    Path(args.out).write_text("\n".join([metrics.csv_header()] + rows) + "\n", encoding="utf-8")
+    _write_table(args.out, _run_sweep_rows(jobs, _table2_row, args.parallel))
     write_manifest(
         str(args.out) + ".manifest.json", "sweep table2", argv, _dataset_paths(args.data),
-        [args.out], seed=seed,
+        [args.out], seed=args.seed,
     )
     return 0
 
@@ -641,21 +562,33 @@ def _cmd_replay(args, argv) -> int:
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--task", choices=["categorical", "attributes"])
+    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--task", required=True, choices=["categorical", "attributes"])
     p.add_argument("--loss", choices=["wce", "focal", "ccc_loss", "mse"],
                    help="default: focal for categorical, ccc_loss for attributes")
     p.add_argument("--sampler", default="shuffled", choices=["shuffled", "balanced"])
     p.add_argument("--activation", default="mish", choices=["mish", "relu"])
-    p.add_argument("--batch-size", default=32, help="training batch size (default 32)")
-    p.add_argument("--lr", default=None, help="learning rate (default 1e-5 stage 1, 5e-6 stage 2)")
-    p.add_argument("--epochs", default=None, help="epoch count (default 20 stage 1, 5 stage 2)")
-    p.add_argument("--hidden-dim", default=16)
-    p.add_argument("--out-dim", default=16)
-    p.add_argument("--focal-gamma", default=2.0)
-    p.add_argument("--seed", default=None, help="mandatory PRNG seed")
+    p.add_argument("--batch-size", type=int, default=32, help="training batch size (default 32)")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+                   help="learning rate (default 1e-5 stage 1, 5e-6 stage 2)")
+    p.add_argument("--epochs", type=int, default=None,
+                   help="epoch count (default 20 stage 1, 5 stage 2)")
+    p.add_argument("--focal-gamma", type=float, default=2.0)
+    p.add_argument("--seed", type=int, required=True, help="mandatory PRNG seed")
     p.add_argument("--log", default=None, help="per-epoch JSONL training log path")
-    p.add_argument("--out", help="output checkpoint path")
+    p.add_argument("--out", required=True, help="output checkpoint path")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--data", required=True)
+    p.add_argument("--split", default="test1", choices=list(dataio.SPLITS))
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--parallel", type=int, default=1, help="process-level fan-out over rows")
+    p.add_argument("--out", required=True, help="output CSV")
 
 
 def build_parser() -> _Parser:
@@ -663,153 +596,136 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # dests are the dataio.SynthConfig field names
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--class-counts", default=None, help="8 comma-separated counts")
-    p.add_argument("--speech-dim", default=None)
-    p.add_argument("--text-dim", default=None)
-    p.add_argument("--frame-range", default=None, help="lo,hi frames per utterance")
-    p.add_argument("--separation", default=None, help="class separation scale")
-    p.add_argument("--noise-sigma", default=None)
-    p.add_argument("--anchors", default=None, help="8 semicolon-separated a,v,d triples")
-    p.add_argument("--split-fractions", default=None, help="train,dev,test1 fractions")
-    p.add_argument("--seed", default=None)
-    p.add_argument("--out", help="output dataset directory")
-    p.set_defaults(func=_cmd_gen_synth, _required=["out"])
+    p.add_argument("--class-counts", type=_int_list, default=None, help="8 comma-separated counts")
+    p.add_argument("--speech-dim", type=int, default=None)
+    p.add_argument("--text-dim", type=int, default=None)
+    p.add_argument("--frame-range", type=_int_list, default=None, help="lo,hi frames per utterance")
+    p.add_argument("--separation", type=float, default=None, help="class separation scale")
+    p.add_argument("--noise-sigma", type=float, default=None)
+    p.add_argument("--anchors", type=_float_rows, default=None,
+                   help="8 semicolon-separated a,v,d triples")
+    p.add_argument("--split-fractions", type=_float_list, default=None,
+                   help="train,dev,test1 fractions")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", required=True, help="output dataset directory")
+    p.set_defaults(func=_cmd_gen_synth)
 
+    # the train flags' dests and the stage default are trainer.TrainConfig field names
     p = sub.add_parser("train-stage1", help="train one modality encoder + head")
     _add_common_train_flags(p)
-    p.add_argument("--modality", choices=["speech", "text"])
-    p.set_defaults(func=_cmd_train_stage1, _required=["data", "task", "modality", "out"])
+    p.add_argument("--modality", required=True, choices=["speech", "text"])
+    p.add_argument("--hidden-dim", type=int, default=16)
+    p.add_argument("--out-dim", type=int, default=16)
+    p.set_defaults(func=_cmd_train, stage=1)
 
     p = sub.add_parser("train-stage2", help="train the fusion head on frozen encoders")
     _add_common_train_flags(p)
     p.add_argument("--fusion", default="concat", choices=["concat", "cross_attention"])
-    p.add_argument("--attn-dim", default=16)
-    p.add_argument("--speech-ckpt")
-    p.add_argument("--text-ckpt")
-    p.set_defaults(
-        func=_cmd_train_stage2,
-        _required=["data", "task", "speech_ckpt", "text_ckpt", "out"],
-    )
+    p.add_argument("--attn-dim", type=int, default=16)
+    p.add_argument("--speech-ckpt", required=True)
+    p.add_argument("--text-ckpt", required=True)
+    p.set_defaults(func=_cmd_train, stage=2)
 
     p = sub.add_parser("predict", help="run inference with a checkpoint")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test1", choices=list(dataio.SPLITS))
-    p.add_argument("--no-clamp", action="store_true", help="keep raw attribute outputs")
-    p.add_argument("--out", help="output predictions CSV")
-    p.set_defaults(func=_cmd_predict, _required=["ckpt", "data", "out"])
+    p.add_argument("--no-clamp", type=_switch, nargs="?", const=True, default=False,
+                   metavar="true|false", help="keep raw attribute outputs")
+    p.add_argument("--out", required=True, help="output predictions CSV")
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against labels")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--pred")
-    p.add_argument("--labels")
+    p.add_argument("--pred", required=True)
+    p.add_argument("--labels", required=True)
     p.add_argument("--split", default=None, choices=list(dataio.SPLITS))
     p.add_argument("--method", default="model", help="method name for the CSV row")
-    p.add_argument("--out", help="output report prefix (.csv/.json)")
-    p.set_defaults(func=_cmd_evaluate, _required=["pred", "labels", "out"])
+    p.add_argument("--out", required=True, help="output report prefix (.csv/.json)")
+    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("analyze", help="quantitative analysis procedures")
     asub = p.add_subparsers(dest="analysis", required=True)
 
     b = asub.add_parser("bins", help="CCC within ground-truth value bins")
-    b.add_argument("--pred")
-    b.add_argument("--labels")
+    b.add_argument("--pred", required=True)
+    b.add_argument("--labels", required=True)
     b.add_argument("--split", default=None, choices=list(dataio.SPLITS))
     b.add_argument("--attribute", default="valence", choices=list(ATTRIBUTE_NAMES))
-    b.add_argument("--edges", default="1,3,5,7", help="bin edges; last bin is right-closed")
-    b.add_argument("--out")
-    b.set_defaults(func=_cmd_analyze_bins, _required=["pred", "labels", "out"])
+    b.add_argument("--edges", type=_float_list, default="1,3,5,7",
+                   help="bin edges; last bin is right-closed")
+    b.add_argument("--out", required=True)
+    b.set_defaults(func=_cmd_analyze_bins)
 
     s = asub.add_parser("stats", help="mean and population std of predictions")
-    s.add_argument("--pred")
+    s.add_argument("--pred", required=True)
     s.add_argument("--labels", default=None, help="optional ground truth for side-by-side stats")
     s.add_argument("--split", default=None, choices=list(dataio.SPLITS))
     s.add_argument("--attribute", default="valence", choices=list(ATTRIBUTE_NAMES))
     s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_analyze_stats, _required=["pred"])
+    s.set_defaults(func=_cmd_analyze_stats)
 
     c = asub.add_parser("compare", help="per-emotion shares of A-beats-B samples")
-    c.add_argument("--pred-a")
-    c.add_argument("--pred-b")
-    c.add_argument("--labels")
+    c.add_argument("--pred-a", required=True)
+    c.add_argument("--pred-b", required=True)
+    c.add_argument("--labels", required=True)
     c.add_argument("--split", default=None, choices=list(dataio.SPLITS))
     c.add_argument("--attribute", default="valence", choices=list(ATTRIBUTE_NAMES))
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_analyze_compare, _required=["pred_a", "pred_b", "labels", "out"])
+    c.add_argument("--out", required=True)
+    c.set_defaults(func=_cmd_analyze_compare)
 
     p = sub.add_parser("llm", help="zero-shot LLM protocol")
     lsub = p.add_subparsers(dest="llm_command", required=True)
 
     lp = lsub.add_parser("prompt", help="print the rendered prompt for a transcript")
-    lp.add_argument("--task", choices=["categorical", "attributes"])
-    lp.add_argument("--transcript")
-    lp.set_defaults(func=_cmd_llm_prompt, _required=["task", "transcript"])
+    lp.add_argument("--task", required=True, choices=["categorical", "attributes"])
+    lp.add_argument("--transcript", required=True)
+    lp.set_defaults(func=_cmd_llm_prompt)
 
     lr = lsub.add_parser("run", help="query an endpoint for every transcript")
     lr.add_argument("--config", help="flat key = value config file")
-    lr.add_argument("--task", choices=["categorical", "attributes"])
-    lr.add_argument("--transcripts", help="CSV with header id,transcript")
-    lr.add_argument("--endpoint", help="base URL of the chat-completion server")
-    lr.add_argument("--model")
+    lr.add_argument("--task", required=True, choices=["categorical", "attributes"])
+    lr.add_argument("--transcripts", required=True, help="CSV with header id,transcript")
+    lr.add_argument("--endpoint", required=True, help="base URL of the chat-completion server")
+    lr.add_argument("--model", required=True)
     lr.add_argument("--cache", default=None, help="JSONL reply cache path")
-    lr.add_argument("--timeout", default=30.0)
-    lr.add_argument("--retries", default=2)
-    lr.add_argument("--parallelism", default=4)
-    lr.add_argument("--out", help="output predictions CSV")
-    lr.set_defaults(
-        func=_cmd_llm_run,
-        _required=["task", "transcripts", "endpoint", "model", "out"],
-    )
+    lr.add_argument("--timeout", type=float, default=30.0)
+    lr.add_argument("--retries", type=int, default=2)
+    lr.add_argument("--parallelism", type=int, default=4)
+    lr.add_argument("--out", required=True, help="output predictions CSV")
+    lr.set_defaults(func=_cmd_llm_run)
 
     ls = lsub.add_parser("score", help="evaluate LLM predictions, disclosing exclusions")
-    ls.add_argument("--pred")
-    ls.add_argument("--labels")
+    ls.add_argument("--pred", required=True)
+    ls.add_argument("--labels", required=True)
     ls.add_argument("--split", default=None, choices=list(dataio.SPLITS))
     ls.add_argument("--method", default="llm", help="method name for the CSV row")
-    ls.add_argument("--out")
-    ls.set_defaults(func=_cmd_llm_score, _required=["pred", "labels", "out"])
+    ls.add_argument("--out", required=True)
+    ls.set_defaults(func=_cmd_llm_score)
 
     p = sub.add_parser("sweep", help="run an experiment grid")
     ssub = p.add_subparsers(dest="sweep_kind", required=True)
 
     t1 = ssub.add_parser("table1", help="fusion-strategy grid")
-    t1.add_argument("--config", help="flat key = value config file")
-    t1.add_argument("--data")
-    t1.add_argument("--speech-ckpt")
-    t1.add_argument("--text-ckpt")
-    t1.add_argument("--split", default="test1", choices=list(dataio.SPLITS))
-    t1.add_argument("--batch-size", default=32)
-    t1.add_argument("--attn-dim", default=16)
-    t1.add_argument("--lr", default=None)
-    t1.add_argument("--epochs", default=None)
-    t1.add_argument("--seed", default=None)
-    t1.add_argument("--parallel", default=1, help="process-level fan-out over rows")
-    t1.add_argument("--out", help="output CSV")
-    t1.set_defaults(
-        func=_cmd_sweep_table1,
-        _required=["data", "speech_ckpt", "text_ckpt", "out"],
-    )
+    _add_sweep_flags(t1)
+    t1.add_argument("--speech-ckpt", required=True)
+    t1.add_argument("--text-ckpt", required=True)
+    t1.add_argument("--attn-dim", type=int, default=16)
+    t1.set_defaults(func=_cmd_sweep_table1)
 
     t2 = ssub.add_parser("table2", help="balancing-scheme grid")
-    t2.add_argument("--config", help="flat key = value config file")
-    t2.add_argument("--data")
+    _add_sweep_flags(t2)
     t2.add_argument("--modality", default="speech", choices=["speech", "text"])
-    t2.add_argument("--split", default="test1", choices=list(dataio.SPLITS))
-    t2.add_argument("--batch-size", default=32)
-    t2.add_argument("--focal-gamma", default=2.0)
-    t2.add_argument("--lr", default=None)
-    t2.add_argument("--epochs", default=None)
-    t2.add_argument("--seed", default=None)
-    t2.add_argument("--parallel", default=1, help="process-level fan-out over rows")
-    t2.add_argument("--out", help="output CSV")
-    t2.set_defaults(func=_cmd_sweep_table2, _required=["data", "out"])
+    t2.add_argument("--focal-gamma", type=float, default=2.0)
+    t2.set_defaults(func=_cmd_sweep_table2)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify outputs reproduce")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_replay, _required=["manifest"])
+    p.add_argument("--manifest", required=True)
+    p.set_defaults(func=_cmd_replay)
 
     return parser
 
@@ -817,14 +733,9 @@ def build_parser() -> _Parser:
 def cli_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config(args, list(argv))
-        _check_required(args)
+        args = parser.parse_args(_with_config(list(argv)))
         return args.func(args, list(argv))
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as err:
+    except (UsageError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # runtime failure

@@ -11,7 +11,8 @@ Two binary formats, both little-endian:
   prefixed name, u32 rank, u32 dims, and float64 data.
 
 Labels and predictions are CSV with fixed headers.  Every writer/reader
-pair round-trips bit-exactly.
+pair round-trips bit-exactly, and every artifact write is atomic: the
+target keeps its old content unless the new one was written in full.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import json
 import math
 import os
 import struct
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +58,36 @@ class FormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# atomic writes
+
+@contextmanager
+def atomic_write(path, binary: bool = False) -> Iterator[IO]:
+    """A file whose content replaces ``path`` only if the block completes.
+
+    The content goes to a temporary file in the target's directory, which
+    ``os.replace`` then moves over ``path``; on any error the temporary file
+    is removed and ``path`` is left as it was.  Text is UTF-8 with ``\n``
+    line ends.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, "xb" if binary else "x", **text) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """A JSON artifact: sorted keys, indent 2, trailing newline."""
+    with atomic_write(path) as f:
+        f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # embeddings (FEMB)
 
 def write_embeddings(path, items: Sequence[tuple[str, np.ndarray]], dim: int | None = None) -> None:
@@ -67,7 +100,7 @@ def write_embeddings(path, items: Sequence[tuple[str, np.ndarray]], dim: int | N
             dim = first.shape[1]
     elif dim is None:
         raise ValueError("dim is required when writing an empty embeddings file")
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(struct.pack("<4sIIQ", EMB_MAGIC, EMB_VERSION, dim, len(items)))
         for name, mat in items:
             arr = np.asarray(mat, dtype=np.float64)
@@ -214,7 +247,7 @@ def read_labels(path) -> list[LabelRow]:
 
 
 def write_labels(path, rows: Sequence[LabelRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(LABELS_HEADER)
         for row in rows:
@@ -400,7 +433,7 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> No
     if len(set(names)) != len(names):
         raise ValueError("duplicate tensor names")
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(struct.pack("<4sI", CKPT_MAGIC, CKPT_VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))
         f.write(meta_bytes)
@@ -480,7 +513,7 @@ class PredictionSet:
 
 
 def write_predictions(path, preds: PredictionSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(PREDICTIONS_HEADER)
         for rid in preds.ids:

@@ -65,25 +65,6 @@ class TextEncoderCfg:
         return self.hidden_dim
 
 
-@dataclass(frozen=True)
-class FusionHeadCfg:
-    fusion: str
-    activation: str
-    task: str
-
-    def __post_init__(self) -> None:
-        if self.fusion not in FUSION_KINDS:
-            raise ValueError(f"unknown fusion kind {self.fusion!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-
-    @property
-    def out_dim(self) -> int:
-        return TASK_OUT_DIMS[self.task]
-
-
 EncoderCfg = SpeechEncoderCfg | TextEncoderCfg
 
 
@@ -275,15 +256,15 @@ def concat_fuse(a: Tensor, b: Tensor) -> Tensor:
     return nm.concat([a, b])
 
 
-def fusion_head_forward(cfg: FusionHeadCfg, p: Mapping[str, Tensor], fused: Tensor) -> Tensor:
-    """Two fully connected layers: F -> F with activation, then F -> out;
-    a B x F input gives B x out."""
-    if cfg.activation == "mish":
+def fusion_head_forward(activation: str, p: Mapping[str, Tensor], fused: Tensor) -> Tensor:
+    """Two fully connected layers: F -> F with ``activation`` (mish or relu),
+    then F -> out; a B x F input gives B x out."""
+    if activation == "mish":
         act = nm.mish
-    elif cfg.activation == "relu":
+    elif activation == "relu":
         act = nm.relu
     else:
-        raise ValueError(f"unknown activation {cfg.activation!r}")
+        raise ValueError(f"unknown activation {activation!r}")
     h = act(fused @ p["fc1.W"] + p["fc1.b"])
     return h @ p["fc2.W"] + p["fc2.b"]
 

@@ -13,7 +13,7 @@ threads may build and differentiate disjoint graphs concurrently.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -473,9 +473,6 @@ class ParamStore:
     def trainable_names(self) -> tuple[str, ...]:
         return tuple(n for n, t in self._trainable.items() if t)
 
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     def value(self, name: str) -> Array:
         return self._params[name].data
 
@@ -511,12 +508,6 @@ class ParamStore:
 
     def state_dict(self) -> dict[str, Array]:
         return {n: t.data.copy() for n, t in self._params.items()}
-
-    def load_state(self, state: Mapping[str, Array]) -> None:
-        for name in self._params:
-            if name not in state:
-                raise ValueError(f"missing tensor {name!r} in state")
-            self.set_value(name, state[name])
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -406,13 +406,9 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
     Training and ``predict`` both build their forward pass here.
     """
     frozen = _frozen_part(meta, params)
-    # stage 1 has no fusion; the head does not depend on the fusion kind
-    head_cfg = model.FusionHeadCfg(
-        fusion=meta.get("fusion", "concat"), activation=meta["config"]["activation"],
-        task=meta["task"],
-    )
+    activation, fusion = meta["config"]["activation"], meta.get("fusion")  # stage 1: no fusion
     required = ["head.fc1.W", "head.fc1.b", "head.fc2.W", "head.fc2.b"]
-    if head_cfg.fusion == "cross_attention":
+    if fusion == "cross_attention":
         required += ["fusion.q.W", "fusion.k.W", "fusion.v.W"]
     _require(params, required)
     head_view = params.view("head.")
@@ -424,15 +420,15 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
         def head(features: Sequence[tuple]) -> nm.Tensor:
             frames, segments = model.pack([f[0] for f in features])
             emb = model.encoder_forward(enc_cfg, enc_view, frames, segments)
-            return model.fusion_head_forward(head_cfg, head_view, emb)
+            return model.fusion_head_forward(activation, head_view, emb)
 
-    elif head_cfg.fusion == "concat":
+    elif fusion == "concat":
 
         def head(features: Sequence[tuple]) -> nm.Tensor:
             fused = nm.Tensor(np.stack([f[0] for f in features]))
-            return model.fusion_head_forward(head_cfg, head_view, fused)
+            return model.fusion_head_forward(activation, head_view, fused)
 
-    else:
+    elif fusion == "cross_attention":
         fuse_view = params.view("fusion.")
 
         def head(features: Sequence[tuple]) -> nm.Tensor:
@@ -442,8 +438,10 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
                 model.cross_attention_fuse(nm.Tensor(hs), nm.Tensor(ht), fuse_view)
                 for hs, ht in features
             ])
-            return model.fusion_head_forward(head_cfg, head_view, fused)
+            return model.fusion_head_forward(activation, head_view, fused)
 
+    else:
+        raise ValueError(f"unknown fusion kind {fusion!r}")
     return Model(frozen=frozen, head=head)
 
 

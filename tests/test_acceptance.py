@@ -110,8 +110,7 @@ def _check_composites(rng):
     # both head activations; relu pre-activations pushed away from the kink
     fused = rng.uniform(0.3, 1.2, size=4)
     for activation in ("mish", "relu"):
-        cfg = model.FusionHeadCfg(fusion="concat", activation=activation, task="attributes")
-        head = model.init_head_params(4, cfg.out_dim, rng)
+        head = model.init_head_params(4, model.TASK_OUT_DIMS["attributes"], rng)
         if activation == "relu":
             pre = fused @ head["fc1.W"] + head["fc1.b"]
             while np.min(np.abs(pre)) < 1e-3:
@@ -119,7 +118,7 @@ def _check_composites(rng):
                 pre = fused @ head["fc1.W"] + head["fc1.b"]
         check_gradients(
             lambda s: nm.square(
-                model.fusion_head_forward(cfg, s, nm.tensor(fused))
+                model.fusion_head_forward(activation, s, nm.tensor(fused))
             ).sum(),
             {k: v.copy() for k, v in head.items()},
         )

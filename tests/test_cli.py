@@ -5,6 +5,7 @@ import pytest
 
 from serlab.cli import cli_dispatch, load_config_file
 from serlab.dataio import LabelRow, PredictionSet, write_labels, write_predictions
+from serlab.trainer import Checkpoint
 
 from helpers import MockChatServer
 
@@ -143,10 +144,66 @@ class TestConfigFiles:
         cfg.write_text("bogus_key = 1\n")
         assert cli_dispatch(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
 
+    def test_config_key_must_name_a_flag_in_full(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise = 0.1\n")  # a prefix of --noise-sigma
+        assert cli_dispatch(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        assert not (tmp_path / "d").exists()
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
         assert cli_dispatch(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+
+    def test_flag_with_equals_overrides_config(self, dataset, tmp_path):
+        cfg = tmp_path / "s1.cfg"
+        cfg.write_text(f"data = {dataset}\nmodality = text\ntask = categorical\n"
+                       "batch_size = 16\nepochs = 1\nseed = 5\n")
+        out = tmp_path / "c.fckp"
+        assert cli_dispatch(
+            ["train-stage1", "--config", str(cfg), "--batch-size=8", "--out", str(out)]
+        ) == 0
+        assert Checkpoint.load(out).metadata["config"]["batch_size"] == 8
+
+    def test_stage2_has_no_encoder_shape_flags(self, dataset, stage1_ckpts, tmp_path):
+        speech, text = stage1_ckpts
+        code = cli_dispatch(
+            ["train-stage2", "--data", str(dataset), "--task", "categorical", "--epochs", "1",
+             "--seed", "7", "--speech-ckpt", str(speech), "--text-ckpt", str(text),
+             "--hidden-dim", "8", "--out", str(tmp_path / "s2.fckp")]
+        )
+        assert code == 1
+
+    def test_config_value_checked_against_choices(self, dataset, stage1_ckpts, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("split = bogus\n")
+        code = cli_dispatch(
+            ["predict", "--config", str(cfg), "--ckpt", str(stage1_ckpts[0]),
+             "--data", str(dataset), "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 1
+        assert "--split" in capsys.readouterr().err
+
+    def test_config_boolean_matches_switch(self, dataset, tmp_path):
+        ckpt = tmp_path / "a.fckp"
+        assert cli_dispatch(
+            ["train-stage1", "--data", str(dataset), "--modality", "text", "--task", "attributes",
+             "--lr", "0.01", "--epochs", "1", "--seed", "4", "--out", str(ckpt)]
+        ) == 0
+        base = ["predict", "--ckpt", str(ckpt), "--data", str(dataset)]
+        outputs = {}
+        for name, extra in (("default", []), ("switch", ["--no-clamp"])):
+            outputs[name] = tmp_path / f"{name}.csv"
+            assert cli_dispatch(base + extra + ["--out", str(outputs[name])]) == 0
+        for value in ("true", "false"):
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(f"no_clamp = {value}\n")
+            outputs[value] = tmp_path / f"{value}.csv"
+            assert cli_dispatch(base + ["--config", str(cfg), "--out", str(outputs[value])]) == 0
+        raw = {name: path.read_bytes() for name, path in outputs.items()}
+        assert raw["switch"] != raw["default"]  # some raw outputs leave [1, 7]
+        assert raw["true"] == raw["switch"]
+        assert raw["false"] == raw["default"]
 
 
 class TestEvaluate:

@@ -69,6 +69,16 @@ class TestEmbeddingsFormat:
         with pytest.raises(ValueError, match="expected T x 2"):
             write_embeddings(tmp_path / "x.femb", [("a", np.ones((1, 2))), ("b", np.ones((1, 3)))])
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "keep.femb"
+        write_embeddings(path, [("a", np.ones((2, 4)))])
+        old = path.read_bytes()
+        items = [("a", np.ones((1, 4))), ("b", np.ones((2, 4))), ("c", np.ones((1, 5)))]
+        with pytest.raises(ValueError, match="expected T x 4"):
+            write_embeddings(path, items)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.femb"]
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=100_000))
     def test_round_trip_property(self, tmp_path_factory, seed):

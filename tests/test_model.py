@@ -224,35 +224,29 @@ class TestFusionHead:
         }
 
     def test_relu_kills_negative_input(self):
-        cfg = model.FusionHeadCfg(fusion="concat", activation="relu", task="attributes")
         store = nm.ParamStore()
         view = self._identity_view(store, dim=4, out_dim=3)
-        out = model.fusion_head_forward(cfg, view, nm.tensor([-1.0, -2.0, -0.5, -3.0]))
+        out = model.fusion_head_forward("relu", view, nm.tensor([-1.0, -2.0, -0.5, -3.0]))
         assert np.array_equal(out.data, np.zeros(3))
 
     def test_mish_close_to_relu_at_large_positive_inputs(self):
         store = nm.ParamStore()
         view = self._identity_view(store, dim=4, out_dim=3)
         fused = nm.tensor([5.0, 5.0, 5.0, 5.0])
-        out_mish = model.fusion_head_forward(
-            model.FusionHeadCfg("concat", "mish", "attributes"), view, fused
-        ).data
-        out_relu = model.fusion_head_forward(
-            model.FusionHeadCfg("concat", "relu", "attributes"), view, fused
-        ).data
+        out_mish = model.fusion_head_forward("mish", view, fused).data
+        out_relu = model.fusion_head_forward("relu", view, fused).data
         assert not np.array_equal(out_mish, out_relu)
         assert np.max(np.abs(out_mish - out_relu)) < 1e-2
 
     def test_output_widths_per_task(self):
         rng = np.random.default_rng(3)
         for task, width in (("categorical", 8), ("attributes", 3)):
-            cfg = model.FusionHeadCfg(fusion="concat", activation="mish", task=task)
             store = nm.ParamStore()
             view = {
                 name: store.add(name, arr)
-                for name, arr in model.init_head_params(6, cfg.out_dim, rng).items()
+                for name, arr in model.init_head_params(6, model.TASK_OUT_DIMS[task], rng).items()
             }
-            out = model.fusion_head_forward(cfg, view, nm.tensor(np.ones(6)))
+            out = model.fusion_head_forward("mish", view, nm.tensor(np.ones(6)))
             assert out.shape == (width,)
 
     def test_argmax_agreement_in_saturation_region(self):
@@ -263,21 +257,22 @@ class TestFusionHead:
         fc2 = rng.uniform(-1, 1, size=(6, 3))
         store.set_value("fc2.W", fc2)
         fused = nm.tensor(rng.uniform(10.0, 20.0, size=6))
-        a = model.fusion_head_forward(model.FusionHeadCfg("concat", "mish", "attributes"), view, fused)
-        b = model.fusion_head_forward(model.FusionHeadCfg("concat", "relu", "attributes"), view, fused)
+        a = model.fusion_head_forward("mish", view, fused)
+        b = model.fusion_head_forward("relu", view, fused)
         assert int(np.argmax(a.data)) == int(np.argmax(b.data))
 
     def test_unknown_activation_rejected(self):
+        store = nm.ParamStore()
+        view = self._identity_view(store, dim=4, out_dim=3)
         with pytest.raises(ValueError, match="activation"):
-            model.FusionHeadCfg(fusion="concat", activation="gelu", task="categorical")
+            model.fusion_head_forward("gelu", view, nm.tensor(np.ones(4)))
 
     def test_head_gradients(self):
-        cfg = model.FusionHeadCfg(fusion="concat", activation="mish", task="attributes")
         rng = np.random.default_rng(42)
-        arrays = model.init_head_params(4, cfg.out_dim, rng)
+        arrays = model.init_head_params(4, model.TASK_OUT_DIMS["attributes"], rng)
         fused = rng.normal(size=4)
         check_gradients(
-            lambda s: nm.square(model.fusion_head_forward(cfg, s, nm.tensor(fused))).sum(),
+            lambda s: nm.square(model.fusion_head_forward("mish", s, nm.tensor(fused))).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
 
@@ -336,7 +331,3 @@ class TestConfigs:
             model.SpeechEncoderCfg(frame_dim=0, hidden_dim=1, out_dim=1)
         with pytest.raises(ValueError):
             model.TextEncoderCfg(token_dim=1, hidden_dim=-1, out_dim=1)
-
-    def test_head_out_dims(self):
-        assert model.FusionHeadCfg("concat", "mish", "categorical").out_dim == 8
-        assert model.FusionHeadCfg("cross_attention", "relu", "attributes").out_dim == 3
