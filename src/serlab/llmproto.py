@@ -2,7 +2,7 @@
 response parsing, and a cached OpenAI-compatible chat-completion client.
 
 Prompt construction is byte-stable, every raw reply lands in an append-only
-JSONL cache keyed by (id, prompt hash), and a fully cached run replays
+JSONL cache keyed by (id, model, prompt hash), and a fully cached run replays
 bit-for-bit with zero network calls.  Unparseable replies are reported per
 id and excluded from downstream metrics with their count disclosed; they
 are never silently defaulted.
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +46,11 @@ ATTRIBUTE_TEMPLATE = (
     "e.g., [1.0, 2.3, 4.7], without explanation.\n"
     "Answer:"
 )
+
+# Retry back-off: the delay before retry n (n = 1, 2, ...) is
+# RETRY_BASE_DELAY_S * 2**(n - 1), capped at RETRY_MAX_DELAY_S.
+RETRY_BASE_DELAY_S = 0.5
+RETRY_MAX_DELAY_S = 8.0
 
 _NAME_TO_CODE = {name: code for code, name in EMOTION_NAMES.items()}
 
@@ -135,21 +142,30 @@ def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _load_cache(path) -> dict[tuple[str, str], str]:
-    cache: dict[tuple[str, str], str] = {}
+def _load_cache(path) -> dict[tuple[str, str, str], str]:
+    """Map (id, model, prompt hash) -> raw reply.
+
+    A final line with no newline that does not parse was torn by a killed
+    run: it is reported on stderr and cut from the file, so the next append
+    starts a fresh line.  A bad line anywhere else raises.
+    """
     p = Path(path)
     if not p.exists():
-        return cache
-    with open(p, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                cache[(entry["id"], entry["prompt_sha256"])] = entry["raw"]
-            except (json.JSONDecodeError, KeyError) as err:
+        return {}
+    data = p.read_bytes()
+    lines = data.split(b"\n")
+    cache: dict[tuple[str, str, str], str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            cache[(entry["id"], entry["model"], entry["prompt_sha256"])] = entry["raw"]
+        except (ValueError, KeyError, TypeError) as err:
+            if lineno < len(lines) or not isinstance(err, ValueError):
                 raise ValueError(f"{path}: line {lineno}: bad cache entry: {err}") from err
+            print(f"{path}: line {lineno}: dropped a torn final cache entry", file=sys.stderr)
+            os.truncate(p, len(data) - len(line))
     return cache
 
 
@@ -158,11 +174,12 @@ class _CacheWriter:
         self._path = Path(path) if path else None
         self._lock = threading.Lock()
 
-    def append(self, rid: str, prompt_hash: str, raw: str) -> None:
+    def append(self, rid: str, model: str, prompt_hash: str, raw: str) -> None:
         if self._path is None:
             return
         entry = {
             "id": rid,
+            "model": model,
             "prompt_sha256": prompt_hash,
             "raw": raw,
             "timestamp": time.time(),
@@ -173,6 +190,9 @@ class _CacheWriter:
 
 
 def _post_chat(endpoint: LlmEndpointConfig, prompt: str) -> str:
+    """The reply text.  Connection errors, timeouts, 429 and 5xx replies are
+    retried up to ``max_retries`` times with capped exponential back-off;
+    anything else fails at once."""
     url = endpoint.base_url.rstrip("/") + "/v1/chat/completions"
     payload = {
         "model": endpoint.model,
@@ -180,16 +200,24 @@ def _post_chat(endpoint: LlmEndpointConfig, prompt: str) -> str:
         "temperature": 0,
     }
     last_error: Exception | None = None
-    for _ in range(endpoint.max_retries + 1):
+    for attempt in range(endpoint.max_retries + 1):
+        if attempt:
+            time.sleep(min(RETRY_MAX_DELAY_S, RETRY_BASE_DELAY_S * 2 ** (attempt - 1)))
         try:
             resp = requests.post(url, json=payload, timeout=endpoint.timeout)
-            if resp.status_code != 200:
-                last_error = RuntimeError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                continue
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as err:
+        except (requests.ConnectionError, requests.Timeout) as err:
             last_error = err
+            continue
+        except requests.RequestException as err:
+            raise RuntimeError(f"endpoint request failed: {err}") from err
+        if resp.status_code == 200:
+            try:
+                return resp.json()["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as err:
+                raise RuntimeError(f"endpoint reply malformed: {err!r}") from err
+        last_error = RuntimeError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if resp.status_code != 429 and resp.status_code < 500:
+            raise RuntimeError(f"endpoint request failed: {last_error}")
     raise RuntimeError(f"endpoint request failed after retries: {last_error}")
 
 
@@ -200,7 +228,7 @@ def run_llm_eval(
 ) -> LlmRunReport:
     """Prompt the endpoint for every (id, transcript) pair and parse replies.
 
-    Cached (id, prompt-hash) pairs skip the network entirely.  Request
+    Cached (id, model, prompt hash) triples skip the network entirely.  Request
     failures and unparseable replies become per-id failure entries; the run
     always completes.  Output order follows the input order.
     """
@@ -222,7 +250,7 @@ def run_llm_eval(
             prompt = build(transcript)
         except ValueError as err:
             return rid, None, f"prompt error: {err}"
-        key = (rid, _prompt_hash(prompt))
+        key = (rid, endpoint.model, _prompt_hash(prompt))
         if key in cache:
             with stats_lock:
                 report.cache_hits += 1
@@ -233,7 +261,7 @@ def run_llm_eval(
             return rid, None, str(err)
         with stats_lock:
             report.requests_made += 1
-        writer.append(rid, key[1], raw)
+        writer.append(*key, raw)
         return rid, raw, None
 
     with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:

@@ -9,6 +9,11 @@ every gradient path finite-difference checkable.
 Graphs are built eagerly (each op computes its value on construction) and
 differentiated once by ``backward``.  Ops never mutate their inputs, so
 threads may build and differentiate disjoint graphs concurrently.
+
+The elementwise ops compute their backward factor (the local derivative)
+only when ``backward`` reaches them, from arrays captured at forward time.
+A pass that is never differentiated (dev evaluation, ``predict``, frozen
+encoders) computes no backward factor.
 """
 
 from __future__ import annotations
@@ -254,9 +259,16 @@ def transpose(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-def _unary(x, data: Array, local: Array, op: str) -> Tensor:
+def _unary(x, data: Array, local, op: str) -> Tensor:
+    """Node whose input gradient is ``g * local()``.
+
+    ``local`` is called only when ``backward`` reaches the node, so a forward
+    pass that is never differentiated never computes it.  It must read the
+    arrays captured at forward time, not ``x.data``, which
+    ``ParamStore.set_value`` may rebind before ``backward`` runs.
+    """
     def backward_fn(g: Array) -> None:
-        _accum(x, g * local)
+        _accum(x, g * local())
 
     return _node(data, (x,), op, backward_fn)
 
@@ -264,7 +276,7 @@ def _unary(x, data: Array, local: Array, op: str) -> Tensor:
 def tanh(x) -> Tensor:
     x = _coerce(x)
     y = np.tanh(x.data)
-    return _unary(x, y, 1.0 - y * y, "tanh")
+    return _unary(x, y, lambda: 1.0 - y * y, "tanh")
 
 
 def exp(x) -> Tensor:
@@ -272,7 +284,7 @@ def exp(x) -> Tensor:
     with np.errstate(over="ignore"):
         y = np.exp(x.data)
     _check_finite(y, "exp")
-    return _unary(x, y, y, "exp")
+    return _unary(x, y, lambda: y, "exp")
 
 
 def log(x) -> Tensor:
@@ -280,7 +292,8 @@ def log(x) -> Tensor:
     if np.any(x.data <= 0.0):
         idx = int(np.argmax((x.data <= 0.0).ravel()))
         raise ValueError(f"log: domain error at flat index {idx}")
-    return _unary(x, np.log(x.data), 1.0 / x.data, "log")
+    xd = x.data
+    return _unary(x, np.log(xd), lambda: 1.0 / xd, "log")
 
 
 def _sigmoid_data(x: Array) -> Array:
@@ -295,7 +308,7 @@ def _sigmoid_data(x: Array) -> Array:
 def sigmoid(x) -> Tensor:
     x = _coerce(x)
     y = _sigmoid_data(x.data)
-    return _unary(x, y, y * (1.0 - y), "sigmoid")
+    return _unary(x, y, lambda: y * (1.0 - y), "sigmoid")
 
 
 def _softplus_data(x: Array) -> Array:
@@ -305,26 +318,29 @@ def _softplus_data(x: Array) -> Array:
 
 def softplus(x) -> Tensor:
     x = _coerce(x)
-    return _unary(x, _softplus_data(x.data), _sigmoid_data(x.data), "softplus")
+    xd = x.data
+    return _unary(x, _softplus_data(xd), lambda: _sigmoid_data(xd), "softplus")
 
 
 def mish(x) -> Tensor:
     """Elementwise x * tanh(softplus(x))."""
     x = _coerce(x)
-    _check_finite(x.data, "mish")
-    t = np.tanh(_softplus_data(x.data))
-    local = t + x.data * (1.0 - t * t) * _sigmoid_data(x.data)
-    return _unary(x, x.data * t, local, "mish")
+    xd = x.data
+    _check_finite(xd, "mish")
+    t = np.tanh(_softplus_data(xd))
+    return _unary(x, xd * t, lambda: t + xd * (1.0 - t * t) * _sigmoid_data(xd), "mish")
 
 
 def relu(x) -> Tensor:
     x = _coerce(x)
-    return _unary(x, np.maximum(x.data, 0.0), (x.data > 0.0).astype(np.float64), "relu")
+    xd = x.data
+    return _unary(x, np.maximum(xd, 0.0), lambda: (xd > 0.0).astype(np.float64), "relu")
 
 
 def square(x) -> Tensor:
     x = _coerce(x)
-    return _unary(x, x.data * x.data, 2.0 * x.data, "square")
+    xd = x.data
+    return _unary(x, xd * xd, lambda: 2.0 * xd, "square")
 
 
 def sqrt(x) -> Tensor:
@@ -333,8 +349,11 @@ def sqrt(x) -> Tensor:
         idx = int(np.argmax((x.data < 0.0).ravel()))
         raise ValueError(f"sqrt: domain error at flat index {idx}")
     y = np.sqrt(x.data)
-    with np.errstate(divide="ignore"):
-        local = 0.5 / y
+
+    def local() -> Array:
+        with np.errstate(divide="ignore"):
+            return 0.5 / y
+
     return _unary(x, y, local, "sqrt")
 
 
@@ -346,11 +365,14 @@ def powf(x, p: float) -> Tensor:
         idx = int(np.argmax((x.data < 0.0).ravel()))
         raise ValueError(f"powf: negative base at flat index {idx}")
     y = np.power(x.data, p)
-    if p == 0.0:
-        local = np.zeros_like(x.data)
-    else:
+    xd = x.data
+
+    def local() -> Array:
+        if p == 0.0:
+            return np.zeros_like(xd)
         with np.errstate(divide="ignore"):
-            local = p * np.power(x.data, p - 1.0)
+            return p * np.power(xd, p - 1.0)
+
     return _unary(x, y, local, "powf")
 
 

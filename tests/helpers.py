@@ -95,9 +95,13 @@ def oracle_encode_batch(cfg, p, seqs) -> nm.Tensor:
 
 
 class MockChatServer:
-    """Local OpenAI-shaped chat-completion endpoint with a request counter."""
+    """Local OpenAI-shaped chat-completion endpoint with a request counter.
 
-    def __init__(self, responder: Callable[[str], str]) -> None:
+    ``responder`` maps a prompt to the reply text, or to an int, which is
+    sent back as that HTTP status with an error body.
+    """
+
+    def __init__(self, responder: Callable[[str], str | int]) -> None:
         self.requests: list[str] = []
         outer = self
 
@@ -106,10 +110,13 @@ class MockChatServer:
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 prompt = body["messages"][0]["content"]
                 outer.requests.append(prompt)
-                reply = json.dumps(
-                    {"choices": [{"message": {"content": responder(prompt)}}]}
-                ).encode("utf-8")
-                self.send_response(200)
+                answer = responder(prompt)
+                if isinstance(answer, int):
+                    status, doc = answer, {"error": {"message": f"status {answer}"}}
+                else:
+                    status, doc = 200, {"choices": [{"message": {"content": answer}}]}
+                reply = json.dumps(doc).encode("utf-8")
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(reply)))
                 self.end_headers()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serlab import llmproto
 from serlab.llmproto import (
     LlmEndpointConfig,
     ParseFailure,
@@ -163,7 +164,7 @@ class TestEndpointClient:
         finally:
             server.shutdown()
         entry = json.loads(cache.read_text().splitlines()[0])
-        assert set(entry) == {"id", "prompt_sha256", "raw", "timestamp"}
+        assert set(entry) == {"id", "model", "prompt_sha256", "raw", "timestamp"}
         assert entry["id"] == "only"
         assert entry["raw"] == "Fear"
         assert len(entry["prompt_sha256"]) == 64
@@ -211,6 +212,102 @@ class TestEndpointClient:
         finally:
             server.shutdown()
         assert report.predictions.ids == [rid for rid, _ in items]
+
+    def test_cache_never_replays_another_models_replies(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        for model, reply in (("model-a", "Sadness"), ("model-b", "Anger")):
+            server = MockChatServer(lambda prompt, reply=reply: reply)
+            try:
+                ep = LlmEndpointConfig(base_url=server.url, model=model, cache_path=cache)
+                report = run_llm_eval(ep, "categorical", self._items())
+            finally:
+                server.shutdown()
+            assert report.requests_made == 3
+            assert report.cache_hits == 0
+        assert report.predictions.labels == {"u1": "A", "u2": "A", "u3": "A"}
+        models = [json.loads(line)["model"] for line in cache.read_text().splitlines()]
+        assert sorted(models) == ["model-a"] * 3 + ["model-b"] * 3
+        # both models' replies stay cached side by side
+        replay = run_llm_eval(
+            LlmEndpointConfig(base_url="http://127.0.0.1:9", model="model-a", cache_path=cache),
+            "categorical", self._items(),
+        )
+        assert replay.cache_hits == 3
+        assert replay.predictions.labels == {"u1": "S", "u2": "S", "u3": "S"}
+
+    def test_torn_final_cache_line_is_dropped_and_reported(self, tmp_path, capsys):
+        cache = tmp_path / "c.jsonl"
+        server = MockChatServer(lambda prompt: "Fear")
+        try:
+            ep = LlmEndpointConfig(base_url=server.url, model="m", cache_path=cache)
+            run_llm_eval(ep, "categorical", self._items())
+            with open(cache, "a", encoding="utf-8") as f:
+                f.write('{"id": "u4", "model": "m", "prom')  # a run killed mid-write
+            capsys.readouterr()
+            report = run_llm_eval(ep, "categorical", self._items() + [("u4", "fine")])
+        finally:
+            server.shutdown()
+        assert f"{cache}: line 4: dropped a torn final cache entry" in capsys.readouterr().err
+        assert report.cache_hits == 3
+        assert report.requests_made == 1
+        assert report.failure_count == 0
+        # the new reply starts a fresh line, so the whole cache reads back
+        replay = run_llm_eval(ep, "categorical", self._items() + [("u4", "fine")])
+        assert replay.cache_hits == 4
+        assert capsys.readouterr().err == ""
+
+    def test_bad_cache_line_before_the_last_raises_with_its_number(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        server = MockChatServer(lambda prompt: "Fear")
+        try:
+            ep = LlmEndpointConfig(base_url=server.url, model="m", cache_path=cache)
+            run_llm_eval(ep, "categorical", self._items())
+        finally:
+            server.shutdown()
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text(lines[0] + '{"id": "torn\n' + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="line 2: bad cache entry"):
+            run_llm_eval(ep, "categorical", self._items())
+
+    def _one_request(self, tmp_path, monkeypatch, answers, max_retries=2):
+        delays = []
+        monkeypatch.setattr(llmproto.time, "sleep", delays.append)
+        replies = iter(answers)
+        server = MockChatServer(lambda prompt: next(replies))
+        try:
+            ep = LlmEndpointConfig(
+                base_url=server.url, model="m", max_retries=max_retries,
+                cache_path=tmp_path / "c.jsonl",
+            )
+            report = run_llm_eval(ep, "categorical", [("u1", "hello")])
+        finally:
+            server.shutdown()
+        return report, len(server.requests), delays
+
+    def test_client_error_is_not_retried(self, tmp_path, monkeypatch):
+        report, requests_made, delays = self._one_request(tmp_path, monkeypatch, [400])
+        assert requests_made == 1
+        assert delays == []
+        assert "HTTP 400" in report.failures[0]["reason"]
+
+    def test_server_error_is_retried_after_a_delay(self, tmp_path, monkeypatch):
+        report, requests_made, delays = self._one_request(
+            tmp_path, monkeypatch, [503, "Happiness"]
+        )
+        assert requests_made == 2
+        assert delays == [llmproto.RETRY_BASE_DELAY_S]
+        assert report.failure_count == 0
+        assert report.predictions.labels == {"u1": "H"}
+
+    def test_backoff_doubles_up_to_the_cap_within_max_retries(self, tmp_path, monkeypatch):
+        report, requests_made, delays = self._one_request(
+            tmp_path, monkeypatch, [429] * 7, max_retries=6
+        )
+        assert requests_made == 7
+        base, cap = llmproto.RETRY_BASE_DELAY_S, llmproto.RETRY_MAX_DELAY_S
+        assert delays == [min(cap, base * 2**n) for n in range(6)]
+        assert max(delays) == cap
+        assert "HTTP 429" in report.failures[0]["reason"]
 
     def test_endpoint_config_validation(self):
         with pytest.raises(ValueError, match="timeout"):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serlab import numerics as nm
+from serlab.dataio import SynthConfig, gen_synthetic
+from serlab.trainer import TrainConfig, encode_frozen, predict, train_stage1
 
 from helpers import check_gradients
 
@@ -266,6 +268,72 @@ class TestGradientsAgainstFiniteDifferences:
             return nm.square(out).sum()
 
         check_gradients(build, {k: v.copy() for k, v in arrays.items() if k != "x"})
+
+
+def _mish_factor(x):
+    t = np.tanh(nm._softplus_data(x))
+    return t + x * (1.0 - t * t) * nm._sigmoid_data(x)
+
+
+# (op, input range, backward factor written eagerly from the forward input)
+EAGER_FACTORS = [
+    (nm.tanh, -2.0, 2.0, lambda x: 1.0 - np.tanh(x) * np.tanh(x)),
+    (nm.exp, -2.0, 2.0, np.exp),
+    (nm.log, 0.2, 3.0, lambda x: 1.0 / x),
+    (nm.sigmoid, -3.0, 3.0, lambda x: nm._sigmoid_data(x) * (1.0 - nm._sigmoid_data(x))),
+    (nm.softplus, -3.0, 3.0, nm._sigmoid_data),
+    (nm.mish, -3.0, 3.0, _mish_factor),
+    (nm.relu, -2.0, 2.0, lambda x: (x > 0.0).astype(np.float64)),
+    (nm.square, -2.0, 2.0, lambda x: 2.0 * x),
+    (nm.sqrt, 0.3, 3.0, lambda x: 0.5 / np.sqrt(x)),
+    (lambda t: nm.powf(t, 3.7), 0.2, 2.0, lambda x: 3.7 * np.power(x, 2.7)),
+]
+
+
+class TestLazyBackwardFactors:
+    """Elementwise backward factors are computed by ``backward``, from the
+    arrays the forward pass saw, and never by a forward-only pass."""
+
+    @pytest.mark.parametrize("op,lo,hi,factor", EAGER_FACTORS)
+    def test_gradient_is_the_eager_factor_bit_for_bit(self, op, lo, hi, factor):
+        rng = np.random.default_rng(23)
+        x0 = rng.uniform(lo, hi, size=7)
+        w = rng.uniform(-1.5, 1.5, size=7)
+        store = nm.ParamStore()
+        loss = (op(store.add("x", x0.copy())) * nm.tensor(w)).sum()
+        # rebinding the parameter between forward and backward must not
+        # change the gradient of the graph already built
+        store.set_value("x", x0 + 0.25)
+        nm.backward(loss, store)
+        assert store.grad("x").tobytes() == (w * factor(x0)).tobytes()
+
+    def test_forward_only_passes_compute_no_factor(self, monkeypatch):
+        records = gen_synthetic(SynthConfig(
+            class_counts=(6,) * 8, separation=1.5, noise_sigma=0.3,
+            split_fractions=(0.7, 0.3, 0.0), seed=5,
+        ))
+        ckpts = {
+            modality: train_stage1(TrainConfig(
+                stage=1, task="categorical", modality=modality, loss="focal",
+                learning_rate=0.01, epochs=1, seed=3, batch_size=16,
+            ), records)
+            for modality in ("speech", "text")
+        }
+        calls = []
+        real = nm._sigmoid_data
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(nm, "_sigmoid_data", counting)
+        predict(ckpts["speech"], records)
+        encode_frozen(ckpts["speech"], ckpts["text"], records)
+        assert calls == []
+        # the counter does see the factor once a backward pass needs it
+        store = nm.ParamStore()
+        nm.backward(nm.mish(store.add("x", np.ones(3))).sum(), store)
+        assert calls == [(3,)]
 
 
 @settings(max_examples=25, deadline=None)
