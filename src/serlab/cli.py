@@ -3,8 +3,8 @@
 Subcommands: gen-synth, train-stage1, train-stage2, predict, evaluate,
 analyze (bins|stats|compare), llm (prompt|run|score), sweep (table1|table2),
 and replay.  Every artifact-producing command writes a run manifest with
-input/output hashes; ``replay`` re-executes a manifest and verifies the
-outputs reproduce byte-for-byte.
+input/output hashes; ``replay`` checks a manifest's inputs are unchanged,
+re-executes it and verifies the outputs reproduce byte-for-byte.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
@@ -480,10 +480,8 @@ def _table1_row(job) -> str:
             batch_size=opts["batch_size"], attn_dim=opts["attn_dim"],
             learning_rate=opts["lr"], epochs=opts["epochs"],
         )
-        ckpt = trainer.train_stage2(
-            cfg, opts["speech_ckpt"], opts["text_ckpt"], opts["records"], cache=opts["cache"]
-        )
-        preds = trainer.predict(ckpt, opts["eval_records"], cache=opts["cache"])
+        ckpt = trainer.train_stage2(cfg, opts["speech_ckpt"], opts["text_ckpt"], opts["records"])
+        preds = trainer.predict(ckpt, opts["eval_records"])
         parts[task] = _build_report(preds, opts["truth"])
     combined = MetricsReport(
         classification=parts["categorical"].classification,
@@ -494,13 +492,10 @@ def _table1_row(job) -> str:
 
 def _cmd_sweep_table1(args, argv) -> int:
     opts = _sweep_data(args)
-    speech_ckpt = Checkpoint.load(args.speech_ckpt)
-    text_ckpt = Checkpoint.load(args.text_ckpt)
-    # every row trains on train + dev and scores the split: encode those once
-    used = [r for r in opts["records"] if r.split in ("train", "dev", args.split)]
     opts.update({
-        "seed": args.seed, "speech_ckpt": speech_ckpt, "text_ckpt": text_ckpt,
-        "cache": trainer.encode_frozen(speech_ckpt, text_ckpt, used),
+        "seed": args.seed,
+        "speech_ckpt": Checkpoint.load(args.speech_ckpt),
+        "text_ckpt": Checkpoint.load(args.text_ckpt),
         "batch_size": args.batch_size, "attn_dim": args.attn_dim,
         "lr": args.lr, "epochs": args.epochs,
     })
@@ -541,16 +536,20 @@ def _cmd_sweep_table2(args, argv) -> int:
     return 0
 
 
+def _differing(hashes: dict[str, str]) -> list[str]:
+    """The paths in ``hashes`` that are missing or whose bytes changed."""
+    return [p for p, digest in hashes.items() if not Path(p).exists() or _sha256_file(p) != digest]
+
+
 def _cmd_replay(args, argv) -> int:
     doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    stored_argv = doc["argv"]
-    code = cli_dispatch(stored_argv)
+    changed = _differing(doc["inputs"])
+    if changed:
+        raise RuntimeError(f"replay inputs missing or changed since the manifest: {changed}")
+    code = cli_dispatch(doc["argv"])
     if code != 0:
         raise RuntimeError(f"replayed command exited with code {code}")
-    mismatched = []
-    for path, digest in doc["outputs"].items():
-        if not Path(path).exists() or _sha256_file(path) != digest:
-            mismatched.append(path)
+    mismatched = _differing(doc["outputs"])
     if mismatched:
         raise RuntimeError(f"replay outputs differ from manifest: {mismatched}")
     print(f"replay reproduced {len(doc['outputs'])} outputs byte-for-byte")

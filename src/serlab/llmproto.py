@@ -146,8 +146,9 @@ def _load_cache(path) -> dict[tuple[str, str, str], str]:
     """Map (id, model, prompt hash) -> raw reply.
 
     A final line with no newline that does not parse was torn by a killed
-    run: it is reported on stderr and cut from the file, so the next append
-    starts a fresh line.  A bad line anywhere else raises.
+    run: it is reported on stderr and cut from the file.  One that parses
+    gets its newline.  Either way the next append starts a fresh line.  A
+    bad line anywhere else raises.
     """
     p = Path(path)
     if not p.exists():
@@ -166,6 +167,10 @@ def _load_cache(path) -> dict[tuple[str, str, str], str]:
                 raise ValueError(f"{path}: line {lineno}: bad cache entry: {err}") from err
             print(f"{path}: line {lineno}: dropped a torn final cache entry", file=sys.stderr)
             os.truncate(p, len(data) - len(line))
+        else:
+            if lineno == len(lines):  # complete, but its newline is missing
+                with open(p, "ab") as f:
+                    f.write(b"\n")
     return cache
 
 

@@ -7,9 +7,8 @@ training scheme without transformer depth.
 
 A batch runs as one packed sequence: the frames of all its utterances in
 one (sum T) x D matrix plus their ``Segments``, with pooling written as
-products with the constant segment-indicator matrix.  Called on a single
-sequence, the encoder and the pooling layers run the same code on a
-one-segment batch.
+products with the constant segment-indicator matrix.  A single utterance is
+a one-segment batch.
 """
 
 from __future__ import annotations
@@ -109,29 +108,18 @@ def pack(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, Segments]:
     return np.concatenate(seqs, axis=0), Segments.of([len(s) for s in seqs])
 
 
-def _segments(H: Tensor, segments: Segments | None, op: str) -> Segments:
-    """The layout to pool ``H`` with; a one-sequence call is one segment."""
+def _check_layout(H: Tensor, segments: Segments, op: str) -> None:
     if H.data.ndim != 2:
         raise ValueError(f"{op}: expected T x D input, got {H.shape}")
-    if segments is None:
-        if H.shape[0] < 1:
-            raise ValueError(f"{op}: empty sequence")
-        return Segments.of([H.shape[0]])
     if segments.total != H.shape[0]:
         raise ValueError(f"{op}: {H.shape[0]} rows for a packed batch of {segments.total}")
-    return segments
-
-
-def _as_called(pooled: Tensor, segments: Segments | None) -> Tensor:
-    # a one-sequence call returns its single row as a vector (an exact sum)
-    return pooled if segments is not None else pooled.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # pooling
 
 def attention_weights(
-    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments | None = None
+    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments
 ) -> Tensor:
     """Per-frame attention weights from scores v . tanh(W h_t + b) + k,
     a softmax within each sequence.
@@ -140,36 +128,35 @@ def attention_weights(
     denominator is its sequence's sum, spread back over the frames by
     ``(S @ e) @ S``.
     """
-    seg = _segments(H, segments, "attention_weights")
+    _check_layout(H, segments, "attention_weights")
     scores = nm.tanh(H @ W + b) @ v + k
-    e = nm.exp(scores - nm.Tensor(seg.segment_max(scores.data)))
-    S = nm.Tensor(seg.matrix)
+    e = nm.exp(scores - nm.Tensor(segments.segment_max(scores.data)))
+    S = nm.Tensor(segments.matrix)
     return e / ((S @ e) @ S)
 
 
 def attentive_stat_pool(
-    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments | None = None
+    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments
 ) -> Tensor:
-    """Attention-weighted mean and std over each sequence's frames, concatenated.
+    """Attention-weighted mean and std over each sequence's frames,
+    concatenated: B x 2D for a packed H.
 
-    With ``segments`` the result is B x 2D for a packed H; without, H is one
-    sequence and the result a 2D vector.  The variance is clamped at zero and
-    padded with VAR_EPS before the square root so constant sequences stay
-    differentiable.
+    The variance is clamped at zero and padded with VAR_EPS before the square
+    root so constant sequences stay differentiable.
     """
-    seg = _segments(H, segments, "attentive_stat_pool")
-    alpha = attention_weights(H, W, b, v, k, seg)
-    A = nm.Tensor(seg.matrix) * alpha  # row b holds sequence b's weights
+    _check_layout(H, segments, "attentive_stat_pool")
+    alpha = attention_weights(H, W, b, v, k, segments)
+    A = nm.Tensor(segments.matrix) * alpha  # row b holds sequence b's weights
     mu = A @ H
     m2 = A @ nm.square(H)
     sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + VAR_EPS)
-    return _as_called(nm.concat([mu, sigma], axis=1), segments)
+    return nm.concat([mu, sigma], axis=1)
 
 
-def mean_pool(H: Tensor, segments: Segments | None = None) -> Tensor:
-    """Mean over each sequence's frames: B x D packed, a vector for one sequence."""
-    seg = _segments(H, segments, "mean_pool")
-    return _as_called(nm.Tensor(seg.matrix / seg.lengths[:, None]) @ H, segments)
+def mean_pool(H: Tensor, segments: Segments) -> Tensor:
+    """Mean over each sequence's frames: B x D for a packed H."""
+    _check_layout(H, segments, "mean_pool")
+    return nm.Tensor(segments.matrix / segments.lengths[:, None]) @ H
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +221,16 @@ def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
 
 
 def encoder_forward(
-    cfg: EncoderCfg, p: Mapping[str, Tensor], frames, segments: Segments | None = None
+    cfg: EncoderCfg, p: Mapping[str, Tensor], frames, segments: Segments
 ) -> Tensor:
-    """Fixed-size embedding for a variable-length frame sequence, or B x out
-    embeddings for the packed frames of a batch laid out by ``segments``."""
+    """B x out fixed-size embeddings for the packed frames of a batch of
+    variable-length sequences laid out by ``segments``."""
     h = frame_hidden(cfg, p, frames)
     if isinstance(cfg, SpeechEncoderCfg):
         pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"], segments)
     else:
         pooled = mean_pool(h, segments)
     return pooled @ p["proj.W"] + p["proj.b"]
-
-
-def concat_fuse(a: Tensor, b: Tensor) -> Tensor:
-    """Fused vector, speech first then text; order is fixed package-wide."""
-    for name, t in (("first", a), ("second", b)):
-        if t.data.ndim != 1:
-            raise ValueError(f"concat_fuse: {name} input must be 1-D, got {t.shape}")
-        if t.shape[0] < 1:
-            raise ValueError(f"concat_fuse: {name} input is empty")
-    return nm.concat([a, b])
 
 
 def fusion_head_forward(activation: str, p: Mapping[str, Tensor], fused: Tensor) -> Tensor:

@@ -156,6 +156,11 @@ def _split_records(
         raise ValueError("empty train split")
     if not dev:
         raise ValueError("empty dev split")
+    seen: set[str] = set()
+    for r in train + dev:
+        if r.id in seen:
+            raise ValueError(f"duplicate record id {r.id!r} in train + dev")
+        seen.add(r.id)
     needed = "emotion" if task == "categorical" else "attributes"
     for r in train + dev:
         if getattr(r, needed) is None:
@@ -345,51 +350,71 @@ def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
                 raise ValueError(f"record {r.id!r}: non-finite {modality} features")
 
 
-def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[UtteranceRecord], tuple]:
-    """``record -> arrays``: what the head reads, with no graph left behind.
+def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[UtteranceRecord]], object]:
+    """``records -> arrays``: what the head reads, with no graph left behind.
 
-    Stage 1 freezes nothing, so this only picks the modality's frames.  In
-    stage 2 it runs the frozen encoders one record at a time, so a record's
-    features never depend on the batch it is in: pooled embeddings,
-    concatenated speech first, for concat fusion; per-frame hiddens for
-    cross-attention.  Records are assumed to pass ``_check_inputs``.
+    Stage 1 freezes nothing, so this only picks each record's frames.  In
+    stage 2 it runs the frozen encoders: for concat fusion once per modality
+    over the packed batch, giving B x F rows, speech first; for
+    cross-attention one record at a time, giving per-frame hiddens.  Records
+    are assumed to pass ``_check_inputs``.
     """
     cfgs = _encoder_cfgs(meta)
     for modality, cfg in cfgs.items():
         _require(params, _encoder_names(modality, cfg))
     if meta["stage"] == 1:
         (modality,) = cfgs
-        return lambda record: (_modality_features(record, modality),)
-    s_cfg, t_cfg = cfgs["speech"], cfgs["text"]
-    s_view, t_view = params.view("speech."), params.view("text.")
-    concat = meta["fusion"] == "concat"
+        return lambda records: [_modality_features(r, modality) for r in records]
+    views = {modality: params.view(f"{modality}.") for modality in CONCAT_ORDER}
+    if meta["fusion"] == "concat":
 
-    def frozen(record: UtteranceRecord) -> tuple:
-        if concat:
-            es = model.encoder_forward(s_cfg, s_view, record.speech_frames)
-            et = model.encoder_forward(t_cfg, t_view, record.text_tokens)
-            return (model.concat_fuse(es, et).data,)
-        hs = model.frame_hidden(s_cfg, s_view, record.speech_frames)
-        ht = model.frame_hidden(t_cfg, t_view, record.text_tokens)
-        return (hs.data, ht.data)
+        def frozen(records: Sequence[UtteranceRecord]) -> np.ndarray:
+            parts = []
+            for modality in CONCAT_ORDER:
+                frames, segments = model.pack([_modality_features(r, modality) for r in records])
+                parts.append(model.encoder_forward(cfgs[modality], views[modality], frames, segments))
+            return nm.concat(parts, axis=1).data
 
-    return frozen
+        return frozen
+
+    def hiddens(record: UtteranceRecord) -> tuple[np.ndarray, ...]:
+        return tuple(
+            model.frame_hidden(cfgs[m], views[m], _modality_features(record, m)).data
+            for m in CONCAT_ORDER
+        )
+
+    return lambda records: [hiddens(r) for r in records]
+
+
+def _rows_by_id(
+    frozen: Callable[[Sequence[UtteranceRecord]], np.ndarray],
+    splits: Sequence[Sequence[UtteranceRecord]],
+    chunk: int,
+) -> Callable[[Sequence[UtteranceRecord]], np.ndarray]:
+    """``frozen`` run once over each split, ``chunk`` records at a time, as
+    a lookup of its rows by record id."""
+    rows: dict[str, np.ndarray] = {}
+    for records in splits:
+        for start in range(0, len(records), chunk):
+            part = records[start:start + chunk]
+            rows.update(zip((r.id for r in part), frozen(part)))
+    return lambda records: np.stack([rows[r.id] for r in records])
 
 
 @dataclass(frozen=True)
 class Model:
     """A forward pass split where the graph starts.
 
-    ``frozen(record)`` returns plain arrays; ``head(features)`` builds one
-    graph from a batch's list of them over the trainable or loaded
-    parameters and returns B x out outputs.
+    ``frozen(records)`` returns plain arrays for a batch; ``head`` builds one
+    graph from them over the trainable or loaded parameters and returns
+    B x out outputs.
     """
 
-    frozen: Callable[[UtteranceRecord], tuple]
-    head: Callable[[Sequence[tuple]], nm.Tensor]
+    frozen: Callable[[Sequence[UtteranceRecord]], object]
+    head: Callable[[object], nm.Tensor]
 
     def forward(self, records: Sequence[UtteranceRecord]) -> nm.Tensor:
-        return self.head([self.frozen(r) for r in records])
+        return self.head(self.frozen(records))
 
     def outputs(
         self, records: Sequence[UtteranceRecord], chunk: int
@@ -417,21 +442,19 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
         ((modality, enc_cfg),) = _encoder_cfgs(meta).items()
         enc_view = params.view(f"{modality}.")
 
-        def head(features: Sequence[tuple]) -> nm.Tensor:
-            frames, segments = model.pack([f[0] for f in features])
-            emb = model.encoder_forward(enc_cfg, enc_view, frames, segments)
+        def head(frames: Sequence[np.ndarray]) -> nm.Tensor:
+            emb = model.encoder_forward(enc_cfg, enc_view, *model.pack(frames))
             return model.fusion_head_forward(activation, head_view, emb)
 
     elif fusion == "concat":
 
-        def head(features: Sequence[tuple]) -> nm.Tensor:
-            fused = nm.Tensor(np.stack([f[0] for f in features]))
-            return model.fusion_head_forward(activation, head_view, fused)
+        def head(rows: np.ndarray) -> nm.Tensor:
+            return model.fusion_head_forward(activation, head_view, nm.Tensor(rows))
 
     elif fusion == "cross_attention":
         fuse_view = params.view("fusion.")
 
-        def head(features: Sequence[tuple]) -> nm.Tensor:
+        def head(features: Sequence[tuple[np.ndarray, ...]]) -> nm.Tensor:
             # one attention per utterance: a packed block-diagonal score
             # matrix would grow as (sum T)^2
             fused = nm.stack_rows([
@@ -443,56 +466,6 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
     else:
         raise ValueError(f"unknown fusion kind {fusion!r}")
     return Model(frozen=frozen, head=head)
-
-
-# ---------------------------------------------------------------------------
-# frozen-feature cache
-
-@dataclass
-class FrozenFeatures:
-    """Concat fusion's frozen output for a fixed set of records: one packed
-    float64 row per record (speech embedding, then text), computed once.
-
-    Rows are reused only by a concat model whose encoder tensors equal the
-    ones they were computed with, bit for bit, and only for the very record
-    objects they were computed from; anything else is encoded afresh.
-    """
-
-    encoders: dict[str, np.ndarray]
-    records: list[UtteranceRecord]
-    index: dict[str, int]
-    rows: np.ndarray
-
-    @classmethod
-    def build(
-        cls, meta: dict, params: nm.ParamStore, records: Sequence[UtteranceRecord]
-    ) -> "FrozenFeatures":
-        frozen = _frozen_part(meta, params)
-        _check_inputs(meta, records)
-        encoders = {n: params.value(n) for n in params if n.startswith(ENCODER_PREFIXES)}
-        rows = np.stack([frozen(r)[0] for r in records])
-        index = {r.id: i for i, r in enumerate(records)}
-        return cls(encoders=encoders, records=list(records), index=index, rows=rows)
-
-    def matches(self, meta: dict, tensors: Mapping[str, np.ndarray]) -> bool:
-        """Whether a stage-2 model with this metadata and these tensors
-        computes exactly these rows."""
-        if meta.get("fusion") != "concat":
-            return False
-        for name, arr in self.encoders.items():
-            other = tensors.get(name)
-            if other is None or other.shape != arr.shape or other.tobytes() != arr.tobytes():
-                return False
-        return True
-
-    def lookup(self, fallback: Callable[[UtteranceRecord], tuple]) -> Callable[[UtteranceRecord], tuple]:
-        def frozen(record: UtteranceRecord) -> tuple:
-            i = self.index.get(record.id)
-            if i is not None and self.records[i] is record:
-                return (self.rows[i],)
-            return fallback(record)
-
-        return frozen
 
 
 def _load_frozen_encoders(
@@ -516,23 +489,6 @@ def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
         raise ValueError(
             f"expected a {modality} checkpoint, got modality {meta.get('modality')!r}"
         )
-
-
-def encode_frozen(
-    speech_ckpt: Checkpoint, text_ckpt: Checkpoint, records: Sequence[UtteranceRecord]
-) -> FrozenFeatures:
-    """Concat features of two stage-1 encoders for ``records``, to share
-    between stage-2 runs and ``predict`` calls over the same data."""
-    _check_stage1_source(speech_ckpt, "speech")
-    _check_stage1_source(text_ckpt, "text")
-    meta = {
-        "stage": 2, "fusion": "concat",
-        "speech_encoder": speech_ckpt.metadata["encoder"],
-        "text_encoder": text_ckpt.metadata["encoder"],
-    }
-    params = nm.ParamStore()
-    _load_frozen_encoders(params, meta, {"speech": speech_ckpt, "text": text_ckpt})
-    return FrozenFeatures.build(meta, params, records)
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +539,13 @@ def train_stage2(
     text_ckpt: Checkpoint,
     records: Sequence[UtteranceRecord],
     log_path=None,
-    cache: FrozenFeatures | None = None,
 ) -> Checkpoint:
     """Train the fusion head on frozen stage-1 encoders.
 
     Encoder tensors are loaded untrainable and never touched by the
     optimizer; only head (and cross-attention projection) parameters move.
-    Concat fusion encodes each record once, or reads ``cache`` when it was
-    built from these encoders (see ``encode_frozen``).
+    Concat fusion encodes train and dev once, each in chunks of the batch
+    size as dev evaluation chunks, and every step reads those rows.
     """
     if cfg.stage != 2:
         raise ValueError(f"train_stage2 requires cfg.stage == 2, got {cfg.stage}")
@@ -630,10 +585,7 @@ def train_stage2(
 
     net = build_model(metadata, params)
     if cfg.fusion == "concat":
-        tensors = {n: params.value(n) for n in params}
-        if cache is None or not cache.matches(metadata, tensors):
-            cache = FrozenFeatures.build(metadata, params, train + dev)
-        net = replace(net, frozen=cache.lookup(net.frozen))
+        net = replace(net, frozen=_rows_by_id(net.frozen, (train, dev), cfg.batch_size))
     best_state, best_dev, best_epoch, history = _run_epochs(
         cfg, params, net, train, dev, log_path
     )
@@ -648,21 +600,16 @@ def predict(
     ckpt: Checkpoint,
     records: Sequence[UtteranceRecord],
     clamp: bool = True,
-    cache: FrozenFeatures | None = None,
 ) -> PredictionSet:
     """Per-utterance labels or attribute triples, in input order.
 
     Records are scored in chunks of the checkpoint's training batch size.
-    ``cache`` is used only when it was built from this checkpoint's encoder
-    tensors; otherwise records are encoded afresh.
     """
     params = nm.ParamStore()
     for name, arr in ckpt.tensors.items():
         params.add(name, arr, trainable=False)
     net = build_model(ckpt.metadata, params)
     _check_inputs(ckpt.metadata, records)
-    if cache is not None and cache.matches(ckpt.metadata, ckpt.tensors):
-        net = replace(net, frozen=cache.lookup(net.frozen))
     task = ckpt.metadata["task"]
     preds = PredictionSet(task=task)
     for record, out in net.outputs(records, ckpt.metadata["config"]["batch_size"]):

@@ -93,8 +93,9 @@ def _check_composites(rng):
         "v": rng.uniform(-0.5, 0.5, size=3),
         "k": rng.uniform(-0.1, 0.1, size=1),
     }
+    one = model.Segments.of([3])
     check_gradients(
-        lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], s["k"]).sum(),
+        lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], s["k"], one).sum(),
         {k: v.copy() for k, v in pool.items()},
     )
 

@@ -100,6 +100,41 @@ class TestExitCodes:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert cli_dispatch(["replay", "--manifest", str(out / "manifest.json")]) == 2
 
+    def _predicted_copy(self, dataset, ckpt, tmp_path):
+        """A copy of ``dataset`` and a ``predict`` run on it: (data dir, predictions)."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("speech.femb", "text.femb", "labels.csv"):
+            (data / name).write_bytes((dataset / name).read_bytes())
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(
+            ["predict", "--ckpt", str(ckpt), "--data", str(data), "--out", str(preds)]
+        ) == 0
+        return data, preds
+
+    def test_replay_refuses_changed_inputs_and_keeps_outputs(self, dataset, stage1_ckpts, tmp_path,
+                                                             capsys):
+        data, preds = self._predicted_copy(dataset, stage1_ckpts[0], tmp_path)
+        recorded = preds.read_bytes()
+        labels = data / "labels.csv"
+        labels.write_text(labels.read_text().replace(",A,", ",C,", 1))  # one relabelled row
+        capsys.readouterr()
+        assert cli_dispatch(["replay", "--manifest", str(preds) + ".manifest.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(labels) in err
+        assert str(data / "speech.femb") not in err
+        assert preds.read_bytes() == recorded
+
+    def test_replay_refuses_missing_input_and_runs_nothing(self, dataset, stage1_ckpts, tmp_path,
+                                                          capsys):
+        data, preds = self._predicted_copy(dataset, stage1_ckpts[0], tmp_path)
+        (data / "text.femb").unlink()
+        preds.unlink()
+        capsys.readouterr()
+        assert cli_dispatch(["replay", "--manifest", str(preds) + ".manifest.json"]) == 2
+        assert str(data / "text.femb") in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
         code = cli_dispatch(
             ["train-stage1", "--data", str(dataset), "--modality", "text", "--task", "categorical",
@@ -332,7 +367,6 @@ class TestSweeps:
         assert seq.read_bytes() == par.read_bytes()
 
     def test_table1_parallel_rows_match_sequential(self, dataset, stage1_ckpts, tmp_path):
-        # the shared frozen-feature cache crosses the process boundary here
         speech, text = stage1_ckpts
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
         base = ["sweep", "table1", "--data", str(dataset), "--speech-ckpt", str(speech),
@@ -356,6 +390,47 @@ class TestSweeps:
         for r in rows[1:]:
             assert len(r) == 8
             assert all(cell != "" for cell in r[1:])
+
+
+    def test_table1_swapped_checkpoints_exit_1(self, dataset, stage1_ckpts, tmp_path):
+        speech, text = stage1_ckpts
+        out = tmp_path / "table1.csv"
+        assert cli_dispatch(
+            ["sweep", "table1", "--data", str(dataset), "--speech-ckpt", str(text),
+             "--text-ckpt", str(speech), "--seed", "3", "--epochs", "1", "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+
+    def test_table1_rows_match_standalone_commands(self, dataset, stage1_ckpts, tmp_path):
+        speech, text = stage1_ckpts
+        common = ["--data", str(dataset), "--seed", "3", "--lr", "0.005", "--epochs", "1"]
+        table = tmp_path / "table1.csv"
+        assert cli_dispatch(
+            ["sweep", "table1", *common, "--speech-ckpt", str(speech), "--text-ckpt", str(text),
+             "--split", "test1", "--out", str(table)]
+        ) == 0
+        rows = {r[0]: r for r in csv.reader(table.read_text().splitlines()[1:])}
+        for method, fusion in (("Cross Attention", "cross_attention"), ("Concat", "concat")):
+            cells = {}
+            for task, columns in (("categorical", slice(1, 4)), ("attributes", slice(4, 8))):
+                ckpt, preds, report = (tmp_path / f"{fusion}_{task}{ext}"
+                                       for ext in (".fckp", ".csv", "_report"))
+                assert cli_dispatch(
+                    ["train-stage2", *common, "--task", task, "--fusion", fusion,
+                     "--activation", "relu", "--speech-ckpt", str(speech),
+                     "--text-ckpt", str(text), "--out", str(ckpt)]
+                ) == 0
+                assert cli_dispatch(
+                    ["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--split", "test1",
+                     "--out", str(preds)]
+                ) == 0
+                assert cli_dispatch(
+                    ["evaluate", "--pred", str(preds), "--labels", str(dataset / "labels.csv"),
+                     "--split", "test1", "--out", str(report)]
+                ) == 0
+                row = next(csv.reader(report.with_suffix(".csv").read_text().splitlines()[1:]))
+                cells[task] = row[columns]
+            assert rows[method][1:] == cells["categorical"] + cells["attributes"], method
 
 
 class TestLlmCommands:

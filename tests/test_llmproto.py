@@ -256,6 +256,33 @@ class TestEndpointClient:
         assert replay.cache_hits == 4
         assert capsys.readouterr().err == ""
 
+    def test_complete_final_line_without_newline_is_ended_before_appending(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        server = MockChatServer(lambda prompt: "Fear")
+        try:
+            ep = LlmEndpointConfig(base_url=server.url, model="m", cache_path=cache)
+            run_llm_eval(ep, "categorical", [("u1", "a")])
+            cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
+            for rid in ("u2", "u3"):
+                report = run_llm_eval(ep, "categorical", [(rid, rid)])
+                assert report.requests_made == 1
+        finally:
+            server.shutdown()
+        assert sorted(key[0] for key in llmproto._load_cache(cache)) == ["u1", "u2", "u3"]
+        assert len(cache.read_text().splitlines()) == 3
+
+    def test_fully_cached_run_leaves_the_cache_bytes_alone(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        server = MockChatServer(lambda prompt: "Fear")
+        try:
+            ep = LlmEndpointConfig(base_url=server.url, model="m", cache_path=cache)
+            run_llm_eval(ep, "categorical", self._items())
+        finally:
+            server.shutdown()
+        written = cache.read_bytes()
+        assert run_llm_eval(ep, "categorical", self._items()).cache_hits == 3
+        assert cache.read_bytes() == written
+
     def test_bad_cache_line_before_the_last_raises_with_its_number(self, tmp_path):
         cache = tmp_path / "c.jsonl"
         server = MockChatServer(lambda prompt: "Fear")

@@ -7,6 +7,11 @@ from serlab import numerics as nm
 from helpers import check_gradients
 
 
+def _one(frames) -> model.Segments:
+    """The layout of a batch that holds the one sequence ``frames``."""
+    return model.Segments.of([len(frames)])
+
+
 def _pool_params(store, hidden, att=None, seed=0, zero_attention=False):
     rng = np.random.default_rng(seed)
     att = att or hidden
@@ -23,7 +28,7 @@ class TestAttentiveStatPool:
         store = nm.ParamStore()
         W, b, v, k = _pool_params(store, hidden=3, seed=1)
         h = np.array([[0.4, -1.2, 2.0]])
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k).data
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
         assert np.allclose(out[:3], h[0], atol=1e-12)
         assert np.allclose(out[3:], np.sqrt(model.VAR_EPS), atol=1e-12)
 
@@ -32,7 +37,7 @@ class TestAttentiveStatPool:
         W, b, v, k = _pool_params(store, hidden=4, seed=2, zero_attention=True)
         rng = np.random.default_rng(3)
         h = rng.normal(size=(6, 4))
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k).data
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
         mu = h.mean(axis=0)
         sigma = np.sqrt(np.maximum((h * h).mean(axis=0) - mu * mu, 0.0) + model.VAR_EPS)
         assert np.allclose(out, np.concatenate([mu, sigma]), atol=1e-12)
@@ -41,7 +46,7 @@ class TestAttentiveStatPool:
         store = nm.ParamStore()
         W, b, v, k = _pool_params(store, hidden=2, seed=4, zero_attention=True)
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k).data
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
         assert np.allclose(out[:2], [0.5, 0.5], atol=1e-12)
         assert np.allclose(out[2:], np.sqrt(0.25 + model.VAR_EPS), atol=1e-12)
 
@@ -51,7 +56,7 @@ class TestAttentiveStatPool:
         frame = np.array([0.7, -0.3, 1.1])
         for t in (2, 5, 9):
             h = np.tile(frame, (t, 1))
-            out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k).data
+            out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
             assert np.allclose(out[:3], frame, atol=1e-9)
             assert np.allclose(out[3:], np.sqrt(model.VAR_EPS), atol=1e-9)
 
@@ -59,7 +64,7 @@ class TestAttentiveStatPool:
         store = nm.ParamStore()
         W, b, v, k = _pool_params(store, hidden=3, seed=6)
         h = np.random.default_rng(7).normal(size=(5, 3))
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k).data
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
         assert np.all(out[3:] >= np.sqrt(model.VAR_EPS) - 1e-15)
 
     def test_attention_weights_sum_to_one(self):
@@ -67,7 +72,8 @@ class TestAttentiveStatPool:
         W, b, v, k = _pool_params(store, hidden=3, seed=9)
         rng = np.random.default_rng(10)
         for t in (1, 2, 6, 11):
-            alpha = model.attention_weights(nm.tensor(rng.normal(size=(t, 3))), W, b, v, k)
+            h = rng.normal(size=(t, 3))
+            alpha = model.attention_weights(nm.tensor(h), W, b, v, k, _one(h))
             assert abs(alpha.data.sum() - 1.0) < 1e-12
             assert np.all(alpha.data > 0)
 
@@ -75,7 +81,8 @@ class TestAttentiveStatPool:
         store = nm.ParamStore()
         W, b, v, k = _pool_params(store, hidden=3)
         with pytest.raises(ValueError, match="empty sequence"):
-            model.attentive_stat_pool(nm.tensor(np.zeros((0, 3))), W, b, v, k)
+            h = np.zeros((0, 3))
+            model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h))
 
     def test_gradients(self):
         rng = np.random.default_rng(42)
@@ -87,7 +94,9 @@ class TestAttentiveStatPool:
             "k": rng.uniform(-0.1, 0.1, size=1),
         }
         check_gradients(
-            lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], s["k"]).sum(),
+            lambda s: model.attentive_stat_pool(
+                nm.tensor(h), s["W"], s["b"], s["v"], s["k"], _one(h)
+            ).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
 
@@ -95,23 +104,24 @@ class TestAttentiveStatPool:
 class TestMeanPool:
     def test_single_row(self):
         row = np.array([[2.0, -1.0, 0.5]])
-        assert np.array_equal(model.mean_pool(nm.tensor(row)).data, row[0])
+        assert np.array_equal(model.mean_pool(nm.tensor(row), _one(row)).data[0], row[0])
 
     def test_arithmetic(self):
         h = np.array([[2.0, 4.0], [4.0, 8.0]])
-        assert np.allclose(model.mean_pool(nm.tensor(h)).data, [3.0, 6.0], atol=1e-15)
+        assert np.allclose(model.mean_pool(nm.tensor(h), _one(h)).data[0], [3.0, 6.0], atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         h = rng.normal(size=(7, 4))
         perm = rng.permutation(7)
-        a = model.mean_pool(nm.tensor(h)).data
-        b = model.mean_pool(nm.tensor(h[perm])).data
+        a = model.mean_pool(nm.tensor(h), _one(h)).data[0]
+        b = model.mean_pool(nm.tensor(h[perm]), _one(h)).data[0]
         assert np.allclose(a, b, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sequence"):
-            model.mean_pool(nm.tensor(np.zeros((0, 2))))
+            h = np.zeros((0, 2))
+            model.mean_pool(nm.tensor(h), _one(h))
 
 
 class TestEncoderForward:
@@ -131,20 +141,23 @@ class TestEncoderForward:
         _, view = self._views(cfg)
         rng = np.random.default_rng(1)
         for t in (1, 3, 8):
-            out = model.encoder_forward(cfg, view, rng.normal(size=(t, 5)))
-            assert out.shape == (6,)
+            frames = rng.normal(size=(t, 5))
+            out = model.encoder_forward(cfg, view, frames, _one(frames))
+            assert out.data[0].shape == (6,)
 
     def test_dim_mismatch_rejected(self):
         cfg = model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6)
         _, view = self._views(cfg)
         with pytest.raises(ValueError, match="expected T x 5"):
-            model.encoder_forward(cfg, view, np.zeros((3, 4)))
+            frames = np.zeros((3, 4))
+            model.encoder_forward(cfg, view, frames, _one(frames))
 
     def test_empty_sequence_propagates(self):
         cfg = model.TextEncoderCfg(token_dim=3, hidden_dim=3, out_dim=2)
         _, view = self._views(cfg)
         with pytest.raises(ValueError, match="empty sequence"):
-            model.encoder_forward(cfg, view, np.zeros((0, 3)))
+            frames = np.zeros((0, 3))
+            model.encoder_forward(cfg, view, frames, _one(frames))
 
     def test_identity_pipeline_matches_plain_statistics(self):
         # identity frame affine and projection, attention collapsed to uniform:
@@ -164,7 +177,7 @@ class TestEncoderForward:
         }
         rng = np.random.default_rng(13)
         frames = rng.normal(size=(5, d))
-        out = model.encoder_forward(cfg, view, frames).data
+        out = model.encoder_forward(cfg, view, frames, _one(frames)).data[0]
         m = nm.mish(nm.tensor(frames)).data
         mu = m.mean(axis=0)
         sigma = np.sqrt(np.maximum((m * m).mean(axis=0) - mu * mu, 0.0) + model.VAR_EPS)
@@ -176,7 +189,7 @@ class TestEncoderForward:
         arrays = model.init_encoder_params(cfg, rng)
         frames = rng.normal(size=(4, 3))
         check_gradients(
-            lambda s: model.encoder_forward(cfg, s, frames).sum(),
+            lambda s: model.encoder_forward(cfg, s, frames, _one(frames)).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
 
@@ -186,30 +199,9 @@ class TestEncoderForward:
         arrays = model.init_encoder_params(cfg, rng)
         tokens = rng.normal(size=(5, 3))
         check_gradients(
-            lambda s: nm.square(model.encoder_forward(cfg, s, tokens)).sum(),
+            lambda s: nm.square(model.encoder_forward(cfg, s, tokens, _one(tokens))).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
-
-
-class TestConcatFuse:
-    def test_order_and_values(self):
-        out = model.concat_fuse(nm.tensor([1.0, 2.0]), nm.tensor([3.0]))
-        assert np.array_equal(out.data, [1.0, 2.0, 3.0])
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            model.concat_fuse(nm.tensor(np.zeros(0)), nm.tensor([1.0]))
-
-    def test_large_scale_shape(self):
-        out = model.concat_fuse(nm.tensor(np.zeros(1024)), nm.tensor(np.ones(1024)))
-        assert out.shape == (2048,)
-
-    def test_slicing_recovers_parts(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=5), rng.normal(size=3)
-        out = model.concat_fuse(nm.tensor(a), nm.tensor(b)).data
-        assert np.array_equal(out[:5], a)
-        assert np.array_equal(out[5:], b)
 
 
 class TestFusionHead:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from serlab import numerics as nm
 from serlab.dataio import SynthConfig, gen_synthetic
-from serlab.trainer import TrainConfig, encode_frozen, predict, train_stage1
+from serlab.trainer import TrainConfig, predict, train_stage1, train_stage2
 
 from helpers import check_gradients
 
@@ -319,6 +319,10 @@ class TestLazyBackwardFactors:
             ), records)
             for modality in ("speech", "text")
         }
+        concat = train_stage2(TrainConfig(
+            stage=2, task="categorical", fusion="concat", learning_rate=0.01, epochs=1, seed=4,
+            batch_size=16,
+        ), ckpts["speech"], ckpts["text"], records)
         calls = []
         real = nm._sigmoid_data
 
@@ -328,7 +332,7 @@ class TestLazyBackwardFactors:
 
         monkeypatch.setattr(nm, "_sigmoid_data", counting)
         predict(ckpts["speech"], records)
-        encode_frozen(ckpts["speech"], ckpts["text"], records)
+        predict(concat, records)
         assert calls == []
         # the counter does see the factor once a backward pass needs it
         store = nm.ParamStore()

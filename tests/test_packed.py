@@ -9,7 +9,7 @@ from serlab import numerics as nm
 from serlab.dataio import SynthConfig, gen_synthetic
 from serlab.trainer import Checkpoint, TrainConfig, predict, train_stage1, train_stage2
 
-from helpers import check_gradients, oracle_attentive_stat_pool, oracle_encode_batch
+from helpers import check_gradients, oracle_encode_batch
 
 CFGS = {
     "speech": model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6),
@@ -66,20 +66,6 @@ def test_one_frame_sequence_has_exact_eps_std():
     pooled = model.attentive_stat_pool(nm.tensor(H), W, b, v, k, segments).data
     assert np.array_equal(pooled[1, :3], seqs[1][0])
     assert np.all(pooled[1, 3:] == np.sqrt(model.VAR_EPS))
-
-
-def test_single_sequence_call_is_a_one_segment_batch():
-    rng = np.random.default_rng(4)
-    store = nm.ParamStore()
-    W, b = store.add("W", rng.normal(size=(3, 3))), store.add("b", rng.normal(size=3))
-    v, k = store.add("v", rng.normal(size=3)), store.add("k", np.zeros(1))
-    H = rng.normal(size=(6, 3))
-    single = model.attentive_stat_pool(nm.tensor(H), W, b, v, k).data
-    batch = model.attentive_stat_pool(nm.tensor(H), W, b, v, k, model.Segments.of([6])).data
-    assert single.shape == (6,)
-    assert np.array_equal(single, batch[0])
-    oracle = oracle_attentive_stat_pool(nm.tensor(H), W, b, v, k).data
-    assert np.max(np.abs(single - oracle)) <= 1e-12
 
 
 def test_packed_attentive_pool_finite_differences():
@@ -148,7 +134,12 @@ def checkpoints(records):
                     epochs=2, seed=3, batch_size=16),
         speech, text, records,
     )
-    return {"speech": speech, "text": text, "xattn": xattn}
+    concat = train_stage2(
+        TrainConfig(stage=2, task="categorical", fusion="concat", learning_rate=0.01,
+                    epochs=2, seed=4, batch_size=16),
+        speech, text, records,
+    )
+    return {"speech": speech, "text": text, "xattn": xattn, "concat": concat}
 
 
 def _with_batch_size(ckpt, batch_size):
@@ -156,7 +147,7 @@ def _with_batch_size(ckpt, batch_size):
     return Checkpoint(tensors=ckpt.tensors, metadata=meta)
 
 
-@pytest.mark.parametrize("name", ["speech", "text", "xattn"])
+@pytest.mark.parametrize("name", ["speech", "text", "xattn", "concat"])
 def test_predict_independent_of_chunk_size(records, checkpoints, name):
     ckpt = checkpoints[name]
     dev = [r for r in records if r.split == "dev"]

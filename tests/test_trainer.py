@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,18 +8,21 @@ import pytest
 from serlab import model
 from serlab import numerics as nm
 from serlab.dataio import SynthConfig, gen_synthetic
+from serlab.metrics import attribute_metrics, classification_metrics
 from serlab.trainer import (
     AdamState,
     Checkpoint,
     TrainConfig,
     TrainingError,
     adam_step,
-    encode_frozen,
+    build_model,
     frozen_tensor_hashes,
     predict,
     train_stage1,
     train_stage2,
 )
+
+from helpers import oracle_encoder_forward
 
 
 @pytest.fixture(scope="module")
@@ -219,58 +223,49 @@ class TestStage2:
         }
         assert ckpt.metadata["concat_order"] == ["speech", "text"]
 
-
-class TestFrozenFeatures:
-    """The concat cache changes no byte of any output."""
-
-    def _cfg(self, task, activation):
-        return TrainConfig(
-            stage=2, task=task, fusion="concat", activation=activation,
-            learning_rate=0.005, epochs=2, seed=8, batch_size=16,
-        )
+    def test_concat_rows_are_speech_then_text_embeddings(self, tiny_records, stage1_pair):
+        speech, text = stage1_pair
+        ckpt = train_stage2(self._cfg(epochs=1), speech, text, tiny_records)
+        params = nm.ParamStore()
+        for name, arr in ckpt.tensors.items():
+            params.add(name, arr, trainable=False)
+        batch = tiny_records[:7]
+        rows = build_model(ckpt.metadata, params).frozen(batch)
+        s, t = ckpt.metadata["speech_encoder"], ckpt.metadata["text_encoder"]
+        s_cfg = model.SpeechEncoderCfg(s["frame_dim"], s["hidden_dim"], s["out_dim"])
+        t_cfg = model.TextEncoderCfg(t["frame_dim"], t["hidden_dim"], t["out_dim"])
+        assert rows.shape == (7, s["out_dim"] + t["out_dim"])
+        for row, r in zip(rows, batch):
+            es = oracle_encoder_forward(s_cfg, params.view("speech."), r.speech_frames).data
+            et = oracle_encoder_forward(t_cfg, params.view("text."), r.text_tokens).data
+            assert np.max(np.abs(row - np.concatenate([es, et]))) <= 1e-12
 
     @pytest.mark.parametrize("task", ["categorical", "attributes"])
-    @pytest.mark.parametrize("activation", ["mish", "relu"])
-    def test_prebuilt_cache_gives_byte_identical_checkpoints(
-        self, tiny_records, stage1_pair, tmp_path, task, activation
-    ):
+    def test_concat_dev_metrics_reproduced_by_predict(self, tiny_records, stage1_pair, task):
+        # training encodes dev in chunks of the batch size, as predict does
         speech, text = stage1_pair
-        cfg = self._cfg(task, activation)
-        # rows keyed to copies of the records are never read, so every
-        # forward pass encodes afresh: the uncached reference
-        copies = [dataclasses.replace(r) for r in tiny_records]
-        caches = {
-            "none": None,
-            "prebuilt": encode_frozen(speech, text, tiny_records),
-            "uncached": encode_frozen(speech, text, copies),
-        }
-        blobs = {}
-        for name, cache in caches.items():
-            path = tmp_path / f"{name}.fckp"
-            train_stage2(cfg, speech, text, tiny_records, cache=cache).save(path)
-            blobs[name] = path.read_bytes()
-        assert blobs["prebuilt"] == blobs["none"] == blobs["uncached"]
-
-    @pytest.mark.parametrize("task", ["categorical", "attributes"])
-    def test_predict_ignores_cache_of_other_encoders(self, tiny_records, stage1_pair, task):
-        speech, text = stage1_pair
-        ckpt = train_stage2(self._cfg(task, "relu"), speech, text, tiny_records)
+        ckpt = train_stage2(self._cfg(task=task), speech, text, tiny_records)
         dev = [r for r in tiny_records if r.split == "dev"]
-        moved = {k: v.copy() for k, v in speech.tensors.items()}
-        moved["speech.frame.W"][0, 0] = np.nextafter(moved["speech.frame.W"][0, 0], np.inf)
-        other = encode_frozen(Checkpoint(moved, speech.metadata), text, dev)
-        own = encode_frozen(speech, text, dev)
-        # the moved tensor changes the rows, so using them would show
-        assert not np.array_equal(other.rows, own.rows)
-        # unclamped, so no attribute difference hides at the range limits
-        fresh = predict(ckpt, dev, clamp=False)
-        for cache in (other, own):
-            got = predict(ckpt, dev, clamp=False, cache=cache)
-            assert got.ids == fresh.ids
-            assert got.labels == fresh.labels
-            assert got.attributes == fresh.attributes
-            for rid, logits in fresh.logits.items():
-                assert got.logits[rid].tobytes() == logits.tobytes()
+        preds = predict(ckpt, dev, clamp=False)
+        if task == "categorical":
+            rep = classification_metrics([preds.labels[r.id] for r in dev], [r.emotion for r in dev])
+            got = {"f1_macro": rep.f1_macro, "f1_micro": rep.f1_micro, "accuracy": rep.accuracy}
+        else:
+            got = attribute_metrics(
+                np.array([preds.attributes[r.id] for r in dev]), np.array([r.attributes for r in dev])
+            ).to_dict()
+        assert got == ckpt.metadata["dev_metrics"]
+
+    def test_duplicate_record_id_rejected(self, tiny_records, stage1_pair):
+        # stage-2 concat reads its encoded rows back by record id
+        speech, text = stage1_pair
+        twin = dataclasses.replace(next(r for r in tiny_records if r.split == "train"), split="dev")
+        records = list(tiny_records) + [twin]
+        message = re.escape(f"duplicate record id {twin.id!r}")
+        with pytest.raises(ValueError, match=message):
+            train_stage2(self._cfg(), speech, text, records)
+        with pytest.raises(ValueError, match=message):
+            train_stage1(_quick_cfg(), records)
 
 
 class TestPredict:
