@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, llmproto, metrics, trainer
+from . import dataio, llmproto, metrics, model, trainer
 from .dataio import LabelRow, PredictionSet
 from .metrics import ATTRIBUTE_NAMES, MetricsReport
 from .trainer import Checkpoint, TrainConfig
@@ -49,11 +49,8 @@ class _Parser(argparse.ArgumentParser):
 # config files
 
 def load_config_file(path) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"--config: file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(dataio.read_text(path).read().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -88,22 +85,17 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(
-    manifest_path, command: str, argv: list[str], inputs: list, outputs: list, seed=None
-) -> None:
+def write_manifest(manifest_path, command: str, argv: list[str], outputs: list, seed=None) -> None:
+    """The run's manifest.  Its inputs are the files the command has parsed,
+    each with the hash of the bytes parsed (``dataio.recorded_reads``)."""
     doc = {
         "command": command,
         "argv": list(argv),
         "seed": seed,
-        "inputs": {str(p): _sha256_file(p) for p in inputs if Path(p).exists()},
+        "inputs": dataio.recorded_reads(),
         "outputs": {str(p): _sha256_file(p) for p in outputs},
     }
     dataio.write_json(manifest_path, doc)
-
-
-def _dataset_paths(data_dir) -> list[Path]:
-    d = Path(data_dir)
-    return [p for p in (d / "speech.femb", d / "text.femb", d / "labels.csv") if p.exists()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +228,8 @@ def _cmd_gen_synth(args, argv) -> int:
     cfg = dataio.SynthConfig(**_given_fields(dataio.SynthConfig, args))
     records = dataio.gen_synthetic(cfg)
     paths = dataio.write_dataset(args.out, records)
-    inputs = [args.config] if args.config else []
-    write_manifest(
-        Path(args.out) / "manifest.json", "gen-synth", argv, inputs, list(paths.values()),
-        seed=cfg.seed,
-    )
+    write_manifest(Path(args.out) / "manifest.json", "gen-synth", argv, list(paths.values()),
+                   seed=cfg.seed)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -248,19 +237,15 @@ def _cmd_gen_synth(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     cfg = TrainConfig(**_given_fields(TrainConfig, args))
     records = _load_records(args.data)
-    inputs = _dataset_paths(args.data)
     if cfg.stage == 1:
         ckpt = trainer.train_stage1(cfg, records, log_path=args.log)
     else:
         speech_ckpt = Checkpoint.load(args.speech_ckpt)
         text_ckpt = Checkpoint.load(args.text_ckpt)
         ckpt = trainer.train_stage2(cfg, speech_ckpt, text_ckpt, records, log_path=args.log)
-        inputs += [args.speech_ckpt, args.text_ckpt]
     ckpt.save(args.out)
     outputs = [args.out] + ([args.log] if args.log else [])
-    write_manifest(
-        str(args.out) + ".manifest.json", args.command, argv, inputs, outputs, seed=cfg.seed
-    )
+    write_manifest(str(args.out) + ".manifest.json", args.command, argv, outputs, seed=cfg.seed)
     kind = cfg.modality if cfg.stage == 1 else cfg.fusion
     print(f"stage-{cfg.stage} {kind}/{cfg.task} best dev: {ckpt.metadata['dev_metrics']}")
     return 0
@@ -271,10 +256,7 @@ def _cmd_predict(args, argv) -> int:
     records = _load_records(args.data, args.split)
     preds = trainer.predict(ckpt, records, clamp=not args.no_clamp)
     dataio.write_predictions(args.out, preds)
-    write_manifest(
-        str(args.out) + ".manifest.json", "predict", argv,
-        _dataset_paths(args.data) + [args.ckpt], [args.out],
-    )
+    write_manifest(str(args.out) + ".manifest.json", "predict", argv, [args.out])
     print(f"wrote {len(preds.ids)} predictions to {args.out}")
     return 0
 
@@ -284,9 +266,7 @@ def _cmd_evaluate(args, argv) -> int:
     truth = _labels_by_id(args.labels, args.split)
     report = _build_report(preds, truth)
     outputs = _write_report(args.out, args.method, report)
-    write_manifest(
-        str(args.out) + ".manifest.json", "evaluate", argv, [args.pred, args.labels], outputs
-    )
+    write_manifest(str(args.out) + ".manifest.json", "evaluate", argv, outputs)
     print(metrics.csv_header())
     print(report.csv_row(args.method))
     return 0
@@ -305,9 +285,7 @@ def _cmd_analyze_bins(args, argv) -> int:
         "overall_ccc": metrics.ccc(pred_col, truth_col),
     }
     dataio.write_json(args.out, doc)
-    write_manifest(
-        str(args.out) + ".manifest.json", "analyze bins", argv, [args.pred, args.labels], [args.out]
-    )
+    write_manifest(str(args.out) + ".manifest.json", "analyze bins", argv, [args.out])
     for b in bins:
         value = "insufficient" if b.ccc is None else f"{b.ccc:.4f}"
         print(f"{b.label}: {value} (n={b.count})")
@@ -323,7 +301,6 @@ def _cmd_analyze_stats(args, argv) -> int:
         "prediction": {"mean": mean, "std": std, "formatted": metrics.format_mean_std(mean, std)},
     }
     print(f"prediction: {metrics.format_mean_std(mean, std)}")
-    inputs = [args.pred]
     if args.labels:
         truth = _labels_by_id(args.labels, args.split)
         truth_col = _truth_column(ids, truth, args.attribute)
@@ -332,10 +309,9 @@ def _cmd_analyze_stats(args, argv) -> int:
             "mean": tmean, "std": tstd, "formatted": metrics.format_mean_std(tmean, tstd),
         }
         print(f"truth:      {metrics.format_mean_std(tmean, tstd)}")
-        inputs.append(args.labels)
     if args.out:
         dataio.write_json(args.out, doc)
-        write_manifest(str(args.out) + ".manifest.json", "analyze stats", argv, inputs, [args.out])
+        write_manifest(str(args.out) + ".manifest.json", "analyze stats", argv, [args.out])
     return 0
 
 
@@ -353,32 +329,13 @@ def _cmd_analyze_compare(args, argv) -> int:
     doc = report.to_dict()
     doc["attribute"] = args.attribute
     dataio.write_json(args.out, doc)
-    write_manifest(
-        str(args.out) + ".manifest.json", "analyze compare", argv,
-        [args.pred_a, args.pred_b, args.labels], [args.out],
-    )
+    write_manifest(str(args.out) + ".manifest.json", "analyze compare", argv, [args.out])
     share = ", ".join(
         f"{c}: {report.improved_shares[c]:.1%} vs {report.full_shares[c]:.1%}"
         for c in metrics.EMOTION_CODES
     )
     print(f"improved {report.improved_count}/{report.total} samples; shares: {share}")
     return 0
-
-
-def _read_transcripts(path) -> list[tuple[str, str]]:
-    import csv as csv_mod
-
-    items = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv_mod.reader(f)
-        header = next(reader, None)
-        if header != ["id", "transcript"]:
-            raise ValueError(f"{path}: expected header id,transcript, got {header!r}")
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            items.append((cells[0], cells[1]))
-    return items
 
 
 def _cmd_llm_prompt(args, argv) -> int:
@@ -390,7 +347,8 @@ def _cmd_llm_prompt(args, argv) -> int:
 
 
 def _cmd_llm_run(args, argv) -> int:
-    items = _read_transcripts(args.transcripts)
+    rows = dataio.csv_rows(args.transcripts, ["id", "transcript"])
+    items = [(rid, transcript) for _, (rid, transcript) in rows]
     endpoint = llmproto.LlmEndpointConfig(
         base_url=args.endpoint,
         model=args.model,
@@ -406,10 +364,7 @@ def _cmd_llm_run(args, argv) -> int:
         "failures": report.failures, "failure_count": report.failure_count,
         "cache_hits": report.cache_hits, "requests_made": report.requests_made,
     })
-    write_manifest(
-        str(args.out) + ".manifest.json", "llm run", argv, [args.transcripts],
-        [args.out, failures_path],
-    )
+    write_manifest(str(args.out) + ".manifest.json", "llm run", argv, [args.out, failures_path])
     print(
         f"{len(report.predictions.ids)} parsed, {report.failure_count} failures, "
         f"{report.cache_hits} cache hits, {report.requests_made} requests"
@@ -425,9 +380,7 @@ def _cmd_llm_score(args, argv) -> int:
     report = _build_report(preds, truth)
     extra = {"excluded_count": len(excluded), "excluded_ids": excluded}
     outputs = _write_report(args.out, args.method, report, extra=extra)
-    write_manifest(
-        str(args.out) + ".manifest.json", "llm score", argv, [args.pred, args.labels], outputs
-    )
+    write_manifest(str(args.out) + ".manifest.json", "llm score", argv, outputs)
     print(report.csv_row(args.method))
     print(f"excluded {len(excluded)} unscored ids")
     return 0
@@ -501,10 +454,7 @@ def _cmd_sweep_table1(args, argv) -> int:
     })
     jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
     _write_table(args.out, _run_sweep_rows(jobs, _table1_row, args.parallel))
-    inputs = _dataset_paths(args.data) + [args.speech_ckpt, args.text_ckpt]
-    write_manifest(
-        str(args.out) + ".manifest.json", "sweep table1", argv, inputs, [args.out], seed=args.seed
-    )
+    write_manifest(str(args.out) + ".manifest.json", "sweep table1", argv, [args.out], seed=args.seed)
     return 0
 
 
@@ -529,10 +479,7 @@ def _cmd_sweep_table2(args, argv) -> int:
     })
     jobs = [(method, loss, sampler, gamma, opts) for method, loss, sampler, gamma in TABLE2_ROWS]
     _write_table(args.out, _run_sweep_rows(jobs, _table2_row, args.parallel))
-    write_manifest(
-        str(args.out) + ".manifest.json", "sweep table2", argv, _dataset_paths(args.data),
-        [args.out], seed=args.seed,
-    )
+    write_manifest(str(args.out) + ".manifest.json", "sweep table2", argv, [args.out], seed=args.seed)
     return 0
 
 
@@ -562,11 +509,11 @@ def _cmd_replay(args, argv) -> int:
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--task", required=True, choices=["categorical", "attributes"])
-    p.add_argument("--loss", choices=["wce", "focal", "ccc_loss", "mse"],
+    p.add_argument("--task", required=True, choices=model.TASKS)
+    p.add_argument("--loss", choices=trainer.CATEGORICAL_LOSSES + trainer.ATTRIBUTE_LOSSES,
                    help="default: focal for categorical, ccc_loss for attributes")
-    p.add_argument("--sampler", default="shuffled", choices=["shuffled", "balanced"])
-    p.add_argument("--activation", default="mish", choices=["mish", "relu"])
+    p.add_argument("--sampler", default="shuffled", choices=trainer.SAMPLERS)
+    p.add_argument("--activation", default="mish", choices=model.ACTIVATIONS)
     p.add_argument("--batch-size", type=int, default=32, help="training batch size (default 32)")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
                    help="learning rate (default 1e-5 stage 1, 5e-6 stage 2)")
@@ -615,14 +562,14 @@ def build_parser() -> _Parser:
     # the train flags' dests and the stage default are trainer.TrainConfig field names
     p = sub.add_parser("train-stage1", help="train one modality encoder + head")
     _add_common_train_flags(p)
-    p.add_argument("--modality", required=True, choices=["speech", "text"])
+    p.add_argument("--modality", required=True, choices=trainer.CONCAT_ORDER)
     p.add_argument("--hidden-dim", type=int, default=16)
     p.add_argument("--out-dim", type=int, default=16)
     p.set_defaults(func=_cmd_train, stage=1)
 
     p = sub.add_parser("train-stage2", help="train the fusion head on frozen encoders")
     _add_common_train_flags(p)
-    p.add_argument("--fusion", default="concat", choices=["concat", "cross_attention"])
+    p.add_argument("--fusion", default="concat", choices=model.FUSION_KINDS)
     p.add_argument("--attn-dim", type=int, default=16)
     p.add_argument("--speech-ckpt", required=True)
     p.add_argument("--text-ckpt", required=True)
@@ -681,13 +628,13 @@ def build_parser() -> _Parser:
     lsub = p.add_subparsers(dest="llm_command", required=True)
 
     lp = lsub.add_parser("prompt", help="print the rendered prompt for a transcript")
-    lp.add_argument("--task", required=True, choices=["categorical", "attributes"])
+    lp.add_argument("--task", required=True, choices=model.TASKS)
     lp.add_argument("--transcript", required=True)
     lp.set_defaults(func=_cmd_llm_prompt)
 
     lr = lsub.add_parser("run", help="query an endpoint for every transcript")
     lr.add_argument("--config", help="flat key = value config file")
-    lr.add_argument("--task", required=True, choices=["categorical", "attributes"])
+    lr.add_argument("--task", required=True, choices=model.TASKS)
     lr.add_argument("--transcripts", required=True, help="CSV with header id,transcript")
     lr.add_argument("--endpoint", required=True, help="base URL of the chat-completion server")
     lr.add_argument("--model", required=True)
@@ -718,7 +665,7 @@ def build_parser() -> _Parser:
 
     t2 = ssub.add_parser("table2", help="balancing-scheme grid")
     _add_sweep_flags(t2)
-    t2.add_argument("--modality", default="speech", choices=["speech", "text"])
+    t2.add_argument("--modality", default="speech", choices=trainer.CONCAT_ORDER)
     t2.add_argument("--focal-gamma", type=float, default=2.0)
     t2.set_defaults(func=_cmd_sweep_table2)
 
@@ -732,8 +679,9 @@ def build_parser() -> _Parser:
 def cli_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_with_config(list(argv)))
-        return args.func(args, list(argv))
+        with dataio.recording_reads():
+            args = parser.parse_args(_with_config(list(argv)))
+            return args.func(args, list(argv))
     except (UsageError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -10,20 +10,28 @@ Two binary formats, both little-endian:
   UTF-8 JSON metadata, u32 tensor count, then per tensor a u16-length-
   prefixed name, u32 rank, u32 dims, and float64 data.
 
-Labels and predictions are CSV with fixed headers.  Every writer/reader
-pair round-trips bit-exactly, and every artifact write is atomic: the
-target keeps its old content unless the new one was written in full.
+Labels and predictions are CSV with fixed headers and unique ids.  Every
+writer/reader pair round-trips bit-exactly, and every artifact write is
+atomic: the target keeps its old content unless the new one was written in
+full.
+
+Every input reader reads its file once and, inside a ``recording_reads``
+block, records ``str(path) -> sha256`` of the bytes it parsed.  A command's
+manifest inputs are that record: exactly the files the command parsed.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
 import struct
 import uuid
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -55,6 +63,106 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+# ---------------------------------------------------------------------------
+# input reads
+
+_reads: ContextVar[dict[str, str] | None] = ContextVar("serlab_reads", default=None)
+
+
+@contextmanager
+def recording_reads() -> Iterator[None]:
+    """Record ``str(path) -> sha256`` of every input parsed inside the block.
+
+    Blocks nest: an inner block keeps its own record, and the outer one
+    does not see it.
+    """
+    token = _reads.set({})
+    try:
+        yield
+    finally:
+        _reads.reset(token)
+
+
+def recorded_reads() -> dict[str, str]:
+    """The innermost ``recording_reads`` block's record so far; empty outside one."""
+    return dict(_reads.get() or {})
+
+
+def _record(path, digest: str) -> None:
+    record = _reads.get()
+    if record is not None:
+        record[str(path)] = digest
+
+
+def read_text(path) -> IO[str]:
+    """An input text file, recorded as read, as a UTF-8 stream with its line
+    ends kept; a stream over the bytes, as a ``StringIO`` takes 4 bytes a char."""
+    data = Path(path).read_bytes()
+    _record(path, hashlib.sha256(data).hexdigest())
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def csv_rows(path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each row of a CSV input after its header.
+
+    The first line must be ``header``, every row must have as many fields,
+    and the first column, ``id``, must not repeat.
+    """
+    reader = csv.reader(read_text(path))
+    first = next(reader, None)
+    if first != list(header):
+        raise ValueError(f"{path}: line 1: expected header {','.join(header)}, got {first!r}")
+    seen: set[str] = set()
+    for cells in reader:
+        lineno = reader.line_num  # a quoted field may span lines; cite the row's last
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(cells)}")
+        if cells[0] in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {cells[0]!r}")
+        seen.add(cells[0])
+        yield lineno, cells
+
+
+class _Reader:
+    """A binary input read once, front to back, hashing what it reads.
+
+    ``take`` checks each length against the bytes left before reading them,
+    so a corrupt length field fails with an offset, never with a huge
+    allocation.  ``finish`` rejects trailing bytes and only then records the
+    file's hash.
+    """
+
+    def __init__(self, f, path) -> None:
+        self.f = f
+        self.path = path
+        self.size = os.fstat(f.fileno()).st_size
+        self.offset = 0
+        self.sha = hashlib.sha256()
+
+    def take(self, n: int, what: str, at: int | None = None) -> bytes:
+        """The next ``n`` bytes, holding ``what``.  When ``n`` came from a
+        length field, ``at`` is that field's offset, which the error cites;
+        otherwise it cites the current offset."""
+        left = self.size - self.offset
+        if n > left:
+            raise FormatError(f"{what} needs {n} bytes, only {left} left",
+                              self.offset if at is None else at)
+        buf = self.f.read(n)
+        if len(buf) != n:  # the file shrank since it was opened
+            raise FormatError(f"truncated file while reading {what}", self.offset)
+        self.sha.update(buf)
+        self.offset += n
+        return buf
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def finish(self, last: str) -> None:
+        if self.f.read(1):
+            raise FormatError(f"trailing bytes after last {last}", self.offset)
+        _record(self.path, self.sha.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -119,50 +227,25 @@ def write_embeddings(path, items: Sequence[tuple[str, np.ndarray]], dim: int | N
             f.write(arr.astype("<f4").tobytes())
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}", offset)
-    return buf
-
-
-def _check_length(n: int, offset: int, size: int, what: str, field_offset: int) -> None:
-    """Reject a length field promising more than the ``size - offset`` bytes
-    left in the file, before a buffer of that length is allocated; the error
-    cites the length field's offset."""
-    if n > size - offset:
-        raise FormatError(f"{what} needs {n} bytes, only {size - offset} left", field_offset)
-
-
 def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
     """Read an FEMB file into (id, T x D float64 matrix) pairs."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        offset = 0
-        header = _read_exact(f, 20, offset, "header")
-        magic, version, dim, count = struct.unpack("<4sIIQ", header)
+        r = _Reader(f, path)
+        magic, version, dim, count = r.unpack("<4sIIQ", "header")
         if magic != EMB_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {EMB_MAGIC!r}", 0)
         if version != EMB_VERSION:
             raise FormatError(f"unsupported version {version}", 4)
-        offset = 20
         out: list[tuple[str, np.ndarray]] = []
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(f, 2, offset, "id length"))
-            _check_length(id_len, offset + 2, size, "record id", offset)
-            offset += 2
-            name = _read_exact(f, id_len, offset, "record id").decode("utf-8")
-            offset += id_len
-            (frames,) = struct.unpack("<I", _read_exact(f, 4, offset, "frame count"))
-            nbytes = frames * dim * 4
-            _check_length(nbytes, offset + 4, size, f"record {name!r} data", offset)
-            offset += 4
-            raw = _read_exact(f, nbytes, offset, f"record {name!r} data")
-            offset += nbytes
-            mat = np.frombuffer(raw, dtype="<f4").reshape(frames, dim).astype(np.float64)
-            out.append((name, mat))
-        if f.read(1):
-            raise FormatError("trailing bytes after last record", offset)
+            at = r.offset
+            (id_len,) = r.unpack("<H", "id length")
+            name = r.take(id_len, "record id", at).decode("utf-8")
+            at = r.offset
+            (frames,) = r.unpack("<I", "frame count")
+            raw = r.take(frames * dim * 4, f"record {name!r} data", at)
+            out.append((name, np.frombuffer(raw, dtype="<f4").reshape(frames, dim).astype(np.float64)))
+        r.finish("record")
     return out
 
 
@@ -200,49 +283,40 @@ class LabelRow:
     attributes: tuple[float, float, float] | None
 
 
+def _emotion(where: str, code: str) -> str | None:
+    if code and code not in EMOTION_CODES:
+        raise ValueError(f"{where}: unknown emotion code {code!r}")
+    return code or None
+
+
+def _triple(where: str, cells: Sequence[str]) -> tuple[float, float, float] | None:
+    """A row's attribute triple; None when all three cells are empty."""
+    filled = [c for c in cells if c != ""]
+    if not filled:
+        return None
+    if len(filled) != 3:
+        raise ValueError(f"{where}: partial attribute triple")
+    try:
+        return tuple(float(c) for c in cells)
+    except ValueError:
+        raise ValueError(f"{where}: non-numeric attribute") from None
+
+
 def read_labels(path) -> list[LabelRow]:
     rows: list[LabelRow] = []
-    seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty labels file") from None
-        if header != LABELS_HEADER:
-            raise ValueError(f"{path}: line 1: bad header {header!r}")
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != 6:
-                raise ValueError(f"{path}: line {lineno}: expected 6 fields, got {len(cells)}")
-            rid, split, emotion, *attrs = cells
-            if rid in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {rid!r}")
-            seen.add(rid)
-            if split not in SPLITS:
-                raise ValueError(f"{path}: line {lineno}: unknown split {split!r}")
-            emo = emotion or None
-            if emo is not None and emo not in EMOTION_CODES:
-                raise ValueError(f"{path}: line {lineno}: unknown emotion code {emo!r}")
-            filled = [a for a in attrs if a != ""]
-            if filled and len(filled) != 3:
-                raise ValueError(f"{path}: line {lineno}: partial attribute triple")
-            triple = None
-            if filled:
-                try:
-                    vals = tuple(float(a) for a in attrs)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric attribute") from None
-                lo, hi = ATTRIBUTE_RANGE
-                for name, v in zip(("arousal", "valence", "dominance"), vals):
-                    if not lo <= v <= hi:
-                        raise ValueError(
-                            f"{path}: line {lineno}: attribute {name} out of range "
-                            f"[{lo:g}, {hi:g}]: {v}"
-                        )
-                triple = vals
-            if emo is None and triple is None:
-                raise ValueError(f"{path}: line {lineno}: neither emotion nor attributes present")
-            rows.append(LabelRow(id=rid, split=split, emotion=emo, attributes=triple))
+    lo, hi = ATTRIBUTE_RANGE
+    for lineno, (rid, split, emotion, *attrs) in csv_rows(path, LABELS_HEADER):
+        where = f"{path}: line {lineno}"
+        if split not in SPLITS:
+            raise ValueError(f"{where}: unknown split {split!r}")
+        emo = _emotion(where, emotion)
+        triple = _triple(where, attrs)
+        for name, v in zip(("arousal", "valence", "dominance"), triple or ()):
+            if not lo <= v <= hi:
+                raise ValueError(f"{where}: attribute {name} out of range [{lo:g}, {hi:g}]: {v}")
+        if emo is None and triple is None:
+            raise ValueError(f"{where}: neither emotion nor attributes present")
+        rows.append(LabelRow(id=rid, split=split, emotion=emo, attributes=triple))
     return rows
 
 
@@ -450,40 +524,27 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> No
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        offset = 0
-        magic, version = struct.unpack("<4sI", _read_exact(f, 8, offset, "header"))
+        r = _Reader(f, path)
+        magic, version = r.unpack("<4sI", "header")
         if magic != CKPT_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {CKPT_MAGIC!r}", 0)
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported version {version}", 4)
-        offset = 8
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, offset, "metadata length"))
-        _check_length(meta_len, offset + 4, size, "metadata", offset)
-        offset += 4
-        metadata = json.loads(_read_exact(f, meta_len, offset, "metadata").decode("utf-8"))
-        offset += meta_len
-        (count,) = struct.unpack("<I", _read_exact(f, 4, offset, "tensor count"))
-        offset += 4
+        (meta_len,) = r.unpack("<I", "metadata length")
+        metadata = json.loads(r.take(meta_len, "metadata", 8).decode("utf-8"))
+        (count,) = r.unpack("<I", "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, offset, "tensor name length"))
-            _check_length(name_len, offset + 2, size, "tensor name", offset)
-            offset += 2
-            name = _read_exact(f, name_len, offset, "tensor name").decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, offset, "tensor rank"))
-            _check_length(4 * rank, offset + 4, size, f"tensor {name!r} shape", offset)
-            offset += 4
-            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, offset, "tensor shape"))
-            nbytes = math.prod(shape) * 8
-            _check_length(nbytes, offset + 4 * rank, size, f"tensor {name!r} data", offset)
-            offset += 4 * rank
-            raw = _read_exact(f, nbytes, offset, f"tensor {name!r} data")
-            offset += nbytes
+            at = r.offset
+            (name_len,) = r.unpack("<H", "tensor name length")
+            name = r.take(name_len, "tensor name", at).decode("utf-8")
+            at = r.offset
+            (rank,) = r.unpack("<I", "tensor rank")
+            shape_at = r.offset
+            shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"tensor {name!r} shape", at))
+            raw = r.take(math.prod(shape) * 8, f"tensor {name!r} data", shape_at)
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
-            raise FormatError("trailing bytes after last tensor", offset)
+        r.finish("tensor")
     return tensors, metadata
 
 
@@ -525,33 +586,19 @@ def write_predictions(path, preds: PredictionSet) -> None:
 
 def read_predictions(path) -> PredictionSet:
     preds = PredictionSet(task="unknown")
-    has_labels = False
-    has_attrs = False
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != PREDICTIONS_HEADER:
-            raise ValueError(f"{path}: bad predictions header {header!r}")
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != 5:
-                raise ValueError(f"{path}: line {lineno}: expected 5 fields")
-            rid, emo, *attrs = cells
-            preds.ids.append(rid)
-            if emo:
-                if emo not in EMOTION_CODES:
-                    raise ValueError(f"{path}: line {lineno}: unknown emotion code {emo!r}")
-                preds.labels[rid] = emo
-                has_labels = True
-            filled = [a for a in attrs if a != ""]
-            if filled:
-                if len(filled) != 3:
-                    raise ValueError(f"{path}: line {lineno}: partial attribute triple")
-                preds.attributes[rid] = tuple(float(a) for a in attrs)
-                has_attrs = True
-    if has_labels and has_attrs:
+    for lineno, (rid, emotion, *attrs) in csv_rows(path, PREDICTIONS_HEADER):
+        where = f"{path}: line {lineno}"
+        preds.ids.append(rid)
+        emo = _emotion(where, emotion)
+        if emo is not None:
+            preds.labels[rid] = emo
+        triple = _triple(where, attrs)
+        if triple is not None:
+            preds.attributes[rid] = triple
+    if preds.labels and preds.attributes:
         preds.task = "both"
-    elif has_attrs:
+    elif preds.attributes:
         preds.task = "attributes"
-    elif has_labels:
+    elif preds.labels:
         preds.task = "categorical"
     return preds

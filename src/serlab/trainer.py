@@ -237,8 +237,12 @@ class TrainingError(RuntimeError):
 
 @contextmanager
 def _failure_site(cfg: TrainConfig, epoch: int, where: str) -> Iterator[None]:
+    """Locate a failure in the block.  numpy overflow, invalid and
+    divide-by-zero results raise at the op that made them, so the first
+    non-finite value fails here instead of printing a warning."""
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except (ValueError, ArithmeticError) as err:
         part = cfg.modality if cfg.stage == 1 else cfg.fusion
         raise TrainingError(

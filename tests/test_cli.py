@@ -1,8 +1,14 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from serlab import dataio
 from serlab.cli import cli_dispatch, load_config_file
 from serlab.dataio import LabelRow, PredictionSet, write_labels, write_predictions
 from serlab.trainer import Checkpoint
@@ -100,12 +106,17 @@ class TestExitCodes:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert cli_dispatch(["replay", "--manifest", str(out / "manifest.json")]) == 2
 
-    def _predicted_copy(self, dataset, ckpt, tmp_path):
-        """A copy of ``dataset`` and a ``predict`` run on it: (data dir, predictions)."""
+    @staticmethod
+    def _data_copy(dataset, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
         for name in ("speech.femb", "text.femb", "labels.csv"):
             (data / name).write_bytes((dataset / name).read_bytes())
+        return data
+
+    def _predicted_copy(self, dataset, ckpt, tmp_path):
+        """A copy of ``dataset`` and a ``predict`` run on it: (data dir, predictions)."""
+        data = self._data_copy(dataset, tmp_path)
         preds = tmp_path / "p.csv"
         assert cli_dispatch(
             ["predict", "--ckpt", str(ckpt), "--data", str(data), "--out", str(preds)]
@@ -135,6 +146,46 @@ class TestExitCodes:
         assert str(data / "text.femb") in capsys.readouterr().err
         assert not preds.exists()
 
+    def test_replay_refuses_changed_config_and_keeps_outputs(self, dataset, stage1_ckpts, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("split = test1\n")
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(
+            ["predict", "--config", str(cfg), "--ckpt", str(stage1_ckpts[0]),
+             "--data", str(dataset), "--out", str(preds)]
+        ) == 0
+        recorded = preds.read_bytes()
+        cfg.write_text("split = dev\n")
+        capsys.readouterr()
+        assert cli_dispatch(["replay", "--manifest", str(preds) + ".manifest.json"]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert str(preds) not in err
+        assert preds.read_bytes() == recorded
+
+    def test_manifest_hashes_the_bytes_parsed(self, dataset, stage1_ckpts, tmp_path, monkeypatch):
+        data = self._data_copy(dataset, tmp_path)
+        labels = data / "labels.csv"
+        parsed = labels.read_bytes()
+        load = dataio.load_dataset
+
+        def load_then_replace_labels(data_dir):
+            records = load(data_dir)
+            labels.write_bytes(parsed.replace(b",A,", b",C,", 1))
+            return records
+
+        monkeypatch.setattr(dataio, "load_dataset", load_then_replace_labels)
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(
+            ["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(data), "--out", str(preds)]
+        ) == 0
+        inputs = json.loads(Path(str(preds) + ".manifest.json").read_text())["inputs"]
+        assert inputs[str(labels)] == hashlib.sha256(parsed).hexdigest()
+        assert sorted(inputs) == sorted(
+            [str(data / "speech.femb"), str(data / "text.femb"), str(labels), str(stage1_ckpts[0])]
+        )
+
     def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
         code = cli_dispatch(
             ["train-stage1", "--data", str(dataset), "--modality", "text", "--task", "categorical",
@@ -144,6 +195,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage-1 text training failed at epoch 0, batch 1: " in err
         assert not (tmp_path / "t.fckp").exists()
+
+    def test_numeric_failure_prints_only_the_located_line(self, dataset, tmp_path):
+        src = str(Path(dataio.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "serlab.cli", "train-stage1", "--data", str(dataset),
+             "--modality", "text", "--task", "categorical", "--lr", "1e300", "--epochs", "2",
+             "--seed", "3", "--out", str(tmp_path / "t.fckp")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("failure: stage-1 text training failed")
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +349,21 @@ class TestEvaluate:
              "--out", str(tmp_path / "r")]
         )
         assert code == 1
+
+
+    def test_duplicate_prediction_id_rejected(self, tmp_path, capsys):
+        labels_path = tmp_path / "labels.csv"
+        write_labels(labels_path, [LabelRow("u1", "test1", "A", None),
+                                   LabelRow("u2", "test1", "C", None)])
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text("id,emotion,arousal,valence,dominance\nu1,A,,,\nu2,A,,,\nu1,A,,,\n")
+        code = cli_dispatch(
+            ["evaluate", "--pred", str(pred_path), "--labels", str(labels_path),
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 1
+        assert f"{pred_path}: line 4: duplicate id 'u1'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestPipelineCommands:
@@ -474,3 +555,46 @@ class TestLlmCommands:
         doc = json.loads((tmp_path / "score.json").read_text())
         assert doc["excluded_count"] == 1  # u3 never queried
         assert doc["classification"]["accuracy"] == 1.0
+
+    @staticmethod
+    def _transcripts(path, rows) -> None:
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows([["id", "transcript"]] + rows)
+
+    def test_run_manifest_lists_transcripts_and_config_never_the_cache(self, tmp_path):
+        transcripts = tmp_path / "tr.csv"
+        self._transcripts(transcripts, [["u1", "what a day"], ["u2", "the worst"]])
+        cfg = tmp_path / "llm.cfg"
+        cfg.write_text("model = mock\n")
+        cache = tmp_path / "cache.jsonl"
+        server = MockChatServer(lambda prompt: "Sadness")
+        try:
+            for run in ("fresh", "cached"):  # the second run reads the cache
+                preds = tmp_path / f"{run}.csv"
+                assert cli_dispatch(
+                    ["llm", "run", "--config", str(cfg), "--task", "categorical",
+                     "--transcripts", str(transcripts), "--endpoint", server.url,
+                     "--cache", str(cache), "--out", str(preds)]
+                ) == 0
+                inputs = json.loads(Path(str(preds) + ".manifest.json").read_text())["inputs"]
+                assert inputs == {
+                    str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (transcripts, cfg)
+                }
+        finally:
+            server.shutdown()
+        assert len(server.requests) == 2
+
+    def test_duplicate_transcript_id_rejected(self, tmp_path, capsys):
+        transcripts = tmp_path / "tr.csv"
+        self._transcripts(transcripts, [["u1", "what a day"], ["u1", "the worst"]])
+        server = MockChatServer(lambda prompt: "Sadness")
+        try:
+            code = cli_dispatch(
+                ["llm", "run", "--task", "categorical", "--transcripts", str(transcripts),
+                 "--endpoint", server.url, "--model", "mock", "--out", str(tmp_path / "p.csv")]
+            )
+        finally:
+            server.shutdown()
+        assert code == 1
+        assert f"{transcripts}: line 3: duplicate id 'u1'" in capsys.readouterr().err
+        assert server.requests == []

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -383,3 +385,47 @@ class TestPredictionsCsv:
         path.write_text("id,foo\n")
         with pytest.raises(ValueError, match="header"):
             dataio.read_predictions(path)
+
+    @pytest.mark.parametrize("row, error", [
+        ("u1,,4.0,x,4.0", "line 3: non-numeric attribute"),
+        ("u0,H,,,", "line 3: duplicate id 'u0'"),
+        ('"u\n1",A,,,\nu0,H,,,', "line 5: duplicate id 'u0'"),  # a quoted id spans lines 3-4
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, row, error):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,emotion,arousal,valence,dominance\nu0,A,,,\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            dataio.read_predictions(path)
+
+
+class TestRecordedReads:
+    def test_readers_record_the_hash_of_the_bytes_parsed(self, tmp_path):
+        paths = write_dataset(tmp_path, gen_synthetic(SynthConfig(class_counts=(3,) * 8)))
+        ckpt = tmp_path / "c.fckp"
+        write_checkpoint(ckpt, {"a": np.ones(2)}, {"stage": 1})
+        with dataio.recording_reads():
+            dataio.load_dataset(tmp_path)
+            read_checkpoint(ckpt)
+            record = dataio.recorded_reads()
+        assert record == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in [*paths.values(), ckpt]
+        }
+        assert dataio.recorded_reads() == {}
+
+    def test_failed_parse_records_nothing(self, tmp_path):
+        path = tmp_path / "e.femb"
+        write_embeddings(path, [("a", np.ones((1, 2)))])
+        path.write_bytes(path.read_bytes() + b"\0")
+        with dataio.recording_reads():
+            with pytest.raises(FormatError, match="trailing bytes"):
+                read_embeddings(path)
+            assert dataio.recorded_reads() == {}
+
+    def test_inner_block_keeps_its_own_record(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("seed = 1\n")
+        with dataio.recording_reads():
+            with dataio.recording_reads():
+                dataio.read_text(path)
+                assert list(dataio.recorded_reads()) == [str(path)]
+            assert dataio.recorded_reads() == {}
