@@ -7,8 +7,8 @@ training scheme without transformer depth.
 
 A batch runs as one packed sequence: the frames of all its utterances in
 one (sum T) x D matrix plus their ``Segments``, with pooling written as
-products with the constant segment-indicator matrix.  A single utterance is
-a one-segment batch.
+products with the constant segment-indicator matrix and cross-attention as
+one ragged attention op.  A single utterance is a one-segment batch.
 """
 
 from __future__ import annotations
@@ -246,22 +246,23 @@ def fusion_head_forward(activation: str, p: Mapping[str, Tensor], fused: Tensor)
     return h @ p["fc2.W"] + p["fc2.b"]
 
 
-def cross_attention_fuse(Hs: Tensor, Ht: Tensor, p: Mapping[str, Tensor]) -> Tensor:
-    """Single-head scaled dot-product attention, text queries speech.
+def cross_attention_fuse(
+    Hs: Tensor, Ht: Tensor, p: Mapping[str, Tensor], speech: Segments, text: Segments
+) -> Tensor:
+    """Single-head scaled dot-product attention, text queries speech, over a
+    packed batch: B x attn for packed speech ``Hs`` and text ``Ht`` laid out
+    by ``speech`` and ``text``.
 
-    Keys and values come from the speech frames, queries from the text
-    tokens; the attended rows are mean-pooled to one vector.  The 1/sqrt(d)
-    scale is folded into the query projection, so no extra Tt x Ts matrix is
-    built.
+    Keys and values come from each utterance's speech frames, queries from
+    its text tokens; the attended rows are mean-pooled to one vector.  The
+    projections run once per batch, with the 1/sqrt(d) scale folded into the
+    query projection, and ``segment_attention`` attends within each
+    utterance, so no padded or block-diagonal score matrix is built.
     """
-    for name, t in (("speech", Hs), ("text", Ht)):
-        if t.data.ndim != 2:
-            raise ValueError(f"cross_attention_fuse: {name} input must be 2-D, got {t.shape}")
-        if t.shape[0] < 1:
-            raise ValueError(f"cross_attention_fuse: empty {name} sequence")
+    _check_layout(Hs, speech, "cross_attention_fuse")
+    _check_layout(Ht, text, "cross_attention_fuse")
     attn_dim = p["q.W"].shape[1]
     q = Ht @ (p["q.W"] / math.sqrt(attn_dim))
     k = Hs @ p["k.W"]
     v = Hs @ p["v.W"]
-    weights = nm.softmax(q @ k.T, axis=1)
-    return (weights @ v).mean(axis=0)
+    return nm.segment_attention(q, k, v, text.offsets, text.lengths, speech.offsets, speech.lengths)

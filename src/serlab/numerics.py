@@ -2,7 +2,8 @@
 
 The op set is fixed and closed: matmul, broadcast add/sub/mul/div,
 transpose, the elementwise functions tanh/exp/log/sigmoid/softplus/mish/
-relu/square/sqrt/powf, softmax, concat, row stacking, and axis sum/mean.
+relu/square/sqrt/powf, softmax, concat, row stacking, axis sum/mean, and
+ragged attention over packed sequences (``segment_attention``).
 Everything else in the package composes exactly these ops, which keeps
 every gradient path finite-difference checkable.
 
@@ -48,6 +49,7 @@ __all__ = [
     "softmax",
     "concat",
     "stack_rows",
+    "segment_attention",
 ]
 
 
@@ -433,6 +435,55 @@ def stack_rows(rows: Sequence) -> Tensor:
             _accum(t, g[i])
 
     return _node(data, tuple(ts), "stack_rows", backward_fn)
+
+
+def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> Tensor:
+    """Attention within each of B packed sequence pairs: B x D, row b the
+    mean over query rows of ``softmax(q_b k_bᵀ) v_b``.
+
+    q_b holds the ``q_lengths[b]`` rows of ``q`` from ``q_offsets[b]`` on;
+    k_b and v_b hold the ``kv_lengths[b]`` rows of ``k`` and ``v`` from
+    ``kv_offsets[b]`` on.  No padding: each Tq x Tk weight matrix is built
+    from its own rows, with a row-max shift, and kept for ``backward`` only
+    when an input requires grad.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if len(q_lengths) != len(kv_lengths) or any(t.data.ndim != 2 for t in (q, k, v)) \
+            or q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
+        raise ValueError(
+            f"segment_attention: {len(q_lengths)} query and {len(kv_lengths)} key sequences "
+            f"do not fit q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    qd, kd, vd = q.data, k.data, v.data
+    spans = [
+        (slice(qo, qo + qn), slice(ko, ko + kn))
+        for qo, qn, ko, kn in zip(q_offsets, q_lengths, kv_offsets, kv_lengths)
+    ]
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    weights: list[Array] = []
+    out = np.empty((len(spans), vd.shape[1]))
+    for b, (qs, ks) in enumerate(spans):
+        w = qd[qs] @ kd[ks].T
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        out[b] = w.mean(axis=0) @ vd[ks]
+        if keep:
+            weights.append(w)
+
+    def backward_fn(g: Array) -> None:
+        dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        for (qs, ks), w, gb in zip(spans, weights, g):
+            dv[ks] += np.outer(w.mean(axis=0), gb)
+            r = vd[ks] @ gb / w.shape[0]  # d out_b / d w_ij = v_j . g_b / Tq
+            ds = w * (r - (w @ r)[:, None])
+            dq[qs] += ds @ kd[ks]
+            dk[ks] += ds.T @ qd[qs]
+        _accum(q, dq)
+        _accum(k, dk)
+        _accum(v, dv)
+
+    return _node(out, (q, k, v), "segment_attention", backward_fn)
 
 
 def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:

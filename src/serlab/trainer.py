@@ -78,6 +78,9 @@ class TrainConfig:
             self.learning_rate = defaults["learning_rate"]
         if self.epochs is None:
             self.epochs = defaults["epochs"]
+        for field in ("hidden_dim", "out_dim", "attn_dim"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate < 0:
             raise ValueError("batch_size/epochs must be >= 1 and learning_rate >= 0")
 
@@ -358,9 +361,10 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
     """``records -> arrays``: what the head reads, with no graph left behind.
 
     Stage 1 freezes nothing, so this only picks each record's frames.  In
-    stage 2 it runs the frozen encoders: for concat fusion once per modality
-    over the packed batch, giving B x F rows, speech first; for
-    cross-attention one record at a time, giving per-frame hiddens.  Records
+    stage 2 it runs the frozen encoders once per modality over the packed
+    batch: for concat fusion the whole encoders, giving B x F rows, speech
+    first; for cross-attention the frame layers, giving each modality's
+    packed per-frame hiddens with their ``Segments``, speech first.  Records
     are assumed to pass ``_check_inputs``.
     """
     cfgs = _encoder_cfgs(meta)
@@ -381,13 +385,14 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
 
         return frozen
 
-    def hiddens(record: UtteranceRecord) -> tuple[np.ndarray, ...]:
-        return tuple(
-            model.frame_hidden(cfgs[m], views[m], _modality_features(record, m)).data
-            for m in CONCAT_ORDER
-        )
+    def hiddens(records: Sequence[UtteranceRecord]) -> list:
+        out = []
+        for modality in CONCAT_ORDER:
+            frames, segments = model.pack([_modality_features(r, modality) for r in records])
+            out.append((model.frame_hidden(cfgs[modality], views[modality], frames).data, segments))
+        return out
 
-    return lambda records: [hiddens(r) for r in records]
+    return hiddens
 
 
 def _rows_by_id(
@@ -458,13 +463,11 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
     elif fusion == "cross_attention":
         fuse_view = params.view("fusion.")
 
-        def head(features: Sequence[tuple[np.ndarray, ...]]) -> nm.Tensor:
-            # one attention per utterance: a packed block-diagonal score
-            # matrix would grow as (sum T)^2
-            fused = nm.stack_rows([
-                model.cross_attention_fuse(nm.Tensor(hs), nm.Tensor(ht), fuse_view)
-                for hs, ht in features
-            ])
+        def head(features: Sequence[tuple[np.ndarray, model.Segments]]) -> nm.Tensor:
+            (hs, speech), (ht, text) = features
+            fused = model.cross_attention_fuse(
+                nm.Tensor(hs), nm.Tensor(ht), fuse_view, speech, text
+            )
             return model.fusion_head_forward(activation, head_view, fused)
 
     else:

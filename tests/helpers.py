@@ -1,10 +1,11 @@
 """Shared test utilities: the finite-difference gradient oracle, the
-per-utterance encoder oracle for packed batches, and a throwaway
-chat-completion server for exercising the LLM client."""
+per-utterance encoder and cross-attention oracles for packed batches, and a
+throwaway chat-completion server for exercising the LLM client."""
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -92,6 +93,17 @@ def oracle_encoder_forward(cfg, p, frames) -> nm.Tensor:
 def oracle_encode_batch(cfg, p, seqs) -> nm.Tensor:
     """B x out embeddings of a batch, utterance by utterance."""
     return nm.stack_rows([oracle_encoder_forward(cfg, p, s) for s in seqs])
+
+
+def oracle_cross_attention(Hs, Ht, p) -> nm.Tensor:
+    """Cross-attention of one utterance through a full softmax node: the
+    per-utterance form the packed head must reproduce."""
+    attn_dim = p["q.W"].shape[1]
+    q = Ht @ (p["q.W"] / math.sqrt(attn_dim))
+    k = Hs @ p["k.W"]
+    v = Hs @ p["v.W"]
+    weights = nm.softmax(q @ k.T, axis=1)
+    return (weights @ v).mean(axis=0)
 
 
 class MockChatServer:

@@ -104,7 +104,9 @@ def _check_composites(rng):
     hs = rng.normal(size=(3, 3))
     ht = rng.normal(size=(2, 3))
     check_gradients(
-        lambda s: nm.square(model.cross_attention_fuse(nm.tensor(hs), nm.tensor(ht), s)).sum(),
+        lambda s: nm.square(model.cross_attention_fuse(
+            nm.tensor(hs), nm.tensor(ht), s, model.Segments.of([3]), model.Segments.of([2])
+        )).sum(),
         {k: v.copy() for k, v in xa.items()},
     )
 

@@ -196,6 +196,20 @@ class TestExitCodes:
         assert "stage-1 text training failed at epoch 0, batch 1: " in err
         assert not (tmp_path / "t.fckp").exists()
 
+    @pytest.mark.parametrize("attn_dim", ["0", "-2"])
+    def test_attn_dim_below_one_is_validation_error(self, dataset, stage1_ckpts, tmp_path, capsys,
+                                                    attn_dim):
+        speech, text = stage1_ckpts
+        code = cli_dispatch(
+            ["train-stage2", "--data", str(dataset), "--task", "categorical", "--epochs", "1",
+             "--seed", "7", "--speech-ckpt", str(speech), "--text-ckpt", str(text),
+             "--fusion", "cross_attention", f"--attn-dim={attn_dim}",
+             "--out", str(tmp_path / "s2.fckp")]
+        )
+        assert code == 1
+        assert f"attn_dim must be >= 1, got {attn_dim}" in capsys.readouterr().err
+        assert not (tmp_path / "s2.fckp").exists()
+
     def test_numeric_failure_prints_only_the_located_line(self, dataset, tmp_path):
         src = str(Path(dataio.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",

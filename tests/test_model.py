@@ -273,6 +273,10 @@ class TestCrossAttention:
     def _arrays(self, rng, ds=3, dt=4, attn=3):
         return model.init_cross_attention_params(ds, dt, attn, rng)
 
+    def _fuse(self, hs, ht, view):
+        """The batched head over a batch of the one utterance (hs, ht)."""
+        return model.cross_attention_fuse(nm.tensor(hs), nm.tensor(ht), view, _one(hs), _one(ht))
+
     def test_single_frames_yield_projected_speech_value(self):
         rng = np.random.default_rng(5)
         arrays = self._arrays(rng)
@@ -280,7 +284,7 @@ class TestCrossAttention:
         view = {n: store.add(n, a) for n, a in arrays.items()}
         hs = rng.normal(size=(1, 3))
         ht = rng.normal(size=(1, 4))
-        out = model.cross_attention_fuse(nm.tensor(hs), nm.tensor(ht), view).data
+        out = self._fuse(hs, ht, view).data[0]
         assert np.allclose(out, hs[0] @ arrays["v.W"], atol=1e-12)
 
     def test_identical_keys_make_attention_uniform(self):
@@ -289,8 +293,8 @@ class TestCrossAttention:
         store = nm.ParamStore()
         view = {n: store.add(n, a) for n, a in arrays.items()}
         hs = np.tile(rng.normal(size=3), (4, 1))  # all speech frames identical
-        out1 = model.cross_attention_fuse(nm.tensor(hs), nm.tensor(rng.normal(size=(2, 4))), view).data
-        out2 = model.cross_attention_fuse(nm.tensor(hs), nm.tensor(rng.normal(size=(3, 4))), view).data
+        out1 = self._fuse(hs, rng.normal(size=(2, 4)), view).data[0]
+        out2 = self._fuse(hs, rng.normal(size=(3, 4)), view).data[0]
         expected = hs[0] @ arrays["v.W"]
         assert np.allclose(out1, expected, atol=1e-12)
         assert np.allclose(out2, expected, atol=1e-12)
@@ -299,10 +303,10 @@ class TestCrossAttention:
         rng = np.random.default_rng(7)
         store = nm.ParamStore()
         view = {n: store.add(n, a) for n, a in self._arrays(rng).items()}
-        with pytest.raises(ValueError, match="empty speech"):
-            model.cross_attention_fuse(nm.tensor(np.zeros((0, 3))), nm.tensor(np.ones((1, 4))), view)
-        with pytest.raises(ValueError, match="empty text"):
-            model.cross_attention_fuse(nm.tensor(np.ones((1, 3))), nm.tensor(np.zeros((0, 4))), view)
+        with pytest.raises(ValueError, match="empty sequence"):
+            self._fuse(np.zeros((0, 3)), np.ones((1, 4)), view)
+        with pytest.raises(ValueError, match="empty sequence"):
+            self._fuse(np.ones((1, 3)), np.zeros((0, 4)), view)
 
     def test_projection_gradients(self):
         rng = np.random.default_rng(42)
@@ -310,9 +314,7 @@ class TestCrossAttention:
         hs = rng.normal(size=(3, 3))
         ht = rng.normal(size=(2, 4))
         check_gradients(
-            lambda s: nm.square(
-                model.cross_attention_fuse(nm.tensor(hs), nm.tensor(ht), s)
-            ).sum(),
+            lambda s: nm.square(self._fuse(hs, ht, s)).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
 

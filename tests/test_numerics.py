@@ -252,6 +252,18 @@ class TestGradientsAgainstFiniteDifferences:
             {"a": a.copy()},
         )
 
+    def test_segment_attention_ragged(self):
+        rng = np.random.default_rng(10)
+        nq, nkv = np.array([2, 1, 3, 1]), np.array([1, 4, 2, 1])  # one-row sequences on both sides
+        weights = rng.normal(size=(4, 2))
+        check_gradients(
+            lambda s: (nm.segment_attention(s["q"], s["k"], s["v"], np.cumsum(nq) - nq, nq,
+                                            np.cumsum(nkv) - nkv, nkv)
+                       * nm.tensor(weights)).sum(),
+            {"q": rng.normal(size=(7, 3)), "k": rng.normal(size=(8, 3)),
+             "v": rng.normal(size=(8, 2))},
+        )
+
     def test_three_layer_head_composite_seed_42(self):
         rng = np.random.default_rng(42)
         dims = [4, 5, 4, 3]

@@ -7,9 +7,11 @@ import pytest
 from serlab import model
 from serlab import numerics as nm
 from serlab.dataio import SynthConfig, gen_synthetic
-from serlab.trainer import Checkpoint, TrainConfig, predict, train_stage1, train_stage2
+from serlab.trainer import (
+    Checkpoint, TrainConfig, build_model, predict, train_stage1, train_stage2,
+)
 
-from helpers import check_gradients, oracle_encode_batch
+from helpers import check_gradients, oracle_cross_attention, oracle_encode_batch
 
 CFGS = {
     "speech": model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6),
@@ -23,7 +25,7 @@ LENGTHS = {
 }
 
 
-def _grads(cfg, arrays, weights, forward):
+def _grads(arrays, weights, forward):
     """Parameter gradients of sum(weights * forward(view))."""
     store = nm.ParamStore()
     view = {name: store.add(name, arr) for name, arr in arrays.items()}
@@ -45,12 +47,55 @@ def test_packed_encoder_matches_per_utterance_oracle(modality, case):
     frames, segments = model.pack(seqs)
 
     packed, packed_grads = _grads(
-        cfg, arrays, weights, lambda p: model.encoder_forward(cfg, p, frames, segments)
+        arrays, weights, lambda p: model.encoder_forward(cfg, p, frames, segments)
     )
-    oracle, oracle_grads = _grads(
-        cfg, arrays, weights, lambda p: oracle_encode_batch(cfg, p, seqs)
-    )
+    oracle, oracle_grads = _grads(arrays, weights, lambda p: oracle_encode_batch(cfg, p, seqs))
     assert packed.shape == (len(seqs), 6)
+    assert np.max(np.abs(packed - oracle)) <= 1e-12
+    for name in arrays:
+        assert np.max(np.abs(packed_grads[name] - oracle_grads[name])) <= 1e-12, name
+
+
+XATTN_LENGTHS = {  # (speech lengths, text lengths)
+    "mixed 1-10": ([3, 10, 1, 7, 2, 9, 4, 1, 6, 8, 5], [5, 1, 8, 2, 10, 3, 7, 9, 1, 4, 6]),
+    "batch of one": ([7], [4]),
+    "one-frame speech": ([1, 1, 1], [4, 2, 6]),
+    "one-frame text": ([5, 3, 7], [1, 1, 1]),
+}
+
+
+def _under(view, prefix):
+    return {name[len(prefix):]: t for name, t in view.items() if name.startswith(prefix)}
+
+
+@pytest.mark.parametrize("case", list(XATTN_LENGTHS))
+def test_packed_cross_attention_matches_per_utterance_oracle(case):
+    rng = np.random.default_rng(12)
+    arrays = {f"fusion.{n}": a for n, a in model.init_cross_attention_params(4, 5, 3, rng).items()}
+    arrays["fusion.q.W"] = arrays["fusion.q.W"] * 4.0  # far from uniform attention
+    arrays.update({f"head.{n}": a for n, a in model.init_head_params(3, 8, rng).items()})
+    speech_lengths, text_lengths = XATTN_LENGTHS[case]
+    hs = [rng.normal(size=(n, 4)) for n in speech_lengths]
+    ht = [rng.normal(size=(n, 5)) for n in text_lengths]
+    weights = rng.normal(size=(len(hs), 8))
+    (Hs, speech), (Ht, text) = model.pack(hs), model.pack(ht)
+
+    def packed_head(p):
+        fused = model.cross_attention_fuse(
+            nm.tensor(Hs), nm.tensor(Ht), _under(p, "fusion."), speech, text
+        )
+        return model.fusion_head_forward("mish", _under(p, "head."), fused)
+
+    def oracle_head(p):
+        fused = nm.stack_rows([
+            oracle_cross_attention(nm.tensor(s), nm.tensor(t), _under(p, "fusion."))
+            for s, t in zip(hs, ht)
+        ])
+        return model.fusion_head_forward("mish", _under(p, "head."), fused)
+
+    packed, packed_grads = _grads(arrays, weights, packed_head)
+    oracle, oracle_grads = _grads(arrays, weights, oracle_head)
+    assert packed.shape == (len(hs), 8)
     assert np.max(np.abs(packed - oracle)) <= 1e-12
     for name in arrays:
         assert np.max(np.abs(packed_grads[name] - oracle_grads[name])) <= 1e-12, name
@@ -186,3 +231,23 @@ def test_identical_runs_write_identical_checkpoints(records, checkpoints, tmp_pa
         train_stage2(cfg, speech, text, records).save(tmp_path / f"s2_{i}.fckp")
         blobs.append([(tmp_path / f"s{k}_{i}.fckp").read_bytes() for k in (1, 2)])
     assert blobs[0] == blobs[1]
+
+
+def _graph_nodes(root) -> int:
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+def test_cross_attention_graph_size_independent_of_batch_size(records, checkpoints):
+    ckpt = checkpoints["xattn"]
+    params = nm.ParamStore()
+    for name, arr in ckpt.tensors.items():
+        params.add(name, arr)
+    net = build_model(ckpt.metadata, params)
+    dev = [r for r in records if r.split == "dev"]
+    assert _graph_nodes(net.forward(dev[:2])) == _graph_nodes(net.forward(dev[:16]))
