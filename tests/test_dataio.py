@@ -144,6 +144,25 @@ class TestLabelsCsv:
         with pytest.raises(ValueError, match="unknown split"):
             read_labels(path)
 
+    @pytest.mark.parametrize("row, error", [
+        ("u2,test9,A,,,", "unknown split 'test9'"),
+        ("u2,train,Z,,,", "unknown emotion code 'Z'"),
+        ("u2,train,A,2.0,,4.0", "partial attribute triple"),
+        ("u2,train,A,2.0,x,4.0", "non-numeric attribute"),
+        ("u2,train,A,0.5,3.0,4.0", "attribute arousal out of range [1, 7]: 0.5"),
+        ("u2,train,A,7.5,3.0,4.0", "attribute arousal out of range [1, 7]: 7.5"),
+        ("u2,train,A,2.0,0.5,4.0", "attribute valence out of range [1, 7]: 0.5"),
+        ("u2,train,A,2.0,7.5,4.0", "attribute valence out of range [1, 7]: 7.5"),
+        ("u2,train,A,2.0,3.0,0.5", "attribute dominance out of range [1, 7]: 0.5"),
+        ("u2,train,A,2.0,3.0,7.5", "attribute dominance out of range [1, 7]: 7.5"),
+        ("u2,train,,,,", "neither emotion nor attributes present"),
+    ])
+    def test_rejection_message_is_exact(self, tmp_path, row, error):
+        path = self._write(tmp_path, ["u1,train,A,2.0,3.0,4.0", row])
+        with pytest.raises(ValueError) as info:
+            read_labels(path)
+        assert str(info.value) == f"{path}: line 3: {error}"
+
     def test_write_read_round_trip(self, tmp_path):
         rows = [
             LabelRow("u1", "train", "A", None),
