@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -128,8 +129,8 @@ def _switch(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _load_records(data_dir, split: str | None = None):
-    records = dataio.load_dataset(data_dir)
+def _load_records(data_dir, modalities, split: str | None = None):
+    records = dataio.load_dataset(data_dir, modalities)
     return records if split is None else _select_split(records, split)
 
 
@@ -236,7 +237,7 @@ def _cmd_gen_synth(args, argv) -> int:
 
 def _cmd_train(args, argv) -> int:
     cfg = TrainConfig(**_given_fields(TrainConfig, args))
-    records = _load_records(args.data)
+    records = _load_records(args.data, (cfg.modality,) if cfg.stage == 1 else trainer.CONCAT_ORDER)
     if cfg.stage == 1:
         ckpt = trainer.train_stage1(cfg, records, log_path=args.log)
     else:
@@ -253,7 +254,7 @@ def _cmd_train(args, argv) -> int:
 
 def _cmd_predict(args, argv) -> int:
     ckpt = Checkpoint.load(args.ckpt)
-    records = _load_records(args.data, args.split)
+    records = _load_records(args.data, list(trainer._encoder_cfgs(ckpt.metadata)), args.split)
     preds = trainer.predict(ckpt, records, clamp=not args.no_clamp)
     dataio.write_predictions(args.out, preds)
     write_manifest(str(args.out) + ".manifest.json", "predict", argv, [args.out])
@@ -417,9 +418,9 @@ def _run_sweep_rows(jobs, run_one, parallel: int) -> list[str]:
     return rows
 
 
-def _sweep_data(args) -> dict:
+def _sweep_data(args, modalities) -> dict:
     """The dataset, loaded once per sweep, and the scored split's truth."""
-    records = _load_records(args.data)
+    records = _load_records(args.data, modalities)
     eval_records = _select_split(records, args.split)
     return {"records": records, "eval_records": eval_records, "truth": _truth_of(eval_records)}
 
@@ -444,7 +445,7 @@ def _table1_row(job) -> str:
 
 
 def _cmd_sweep_table1(args, argv) -> int:
-    opts = _sweep_data(args)
+    opts = _sweep_data(args, trainer.CONCAT_ORDER)
     opts.update({
         "seed": args.seed,
         "speech_ckpt": Checkpoint.load(args.speech_ckpt),
@@ -472,7 +473,7 @@ def _table2_row(job) -> str:
 
 
 def _cmd_sweep_table2(args, argv) -> int:
-    opts = _sweep_data(args)
+    opts = _sweep_data(args, (args.modality,))
     opts.update({
         "seed": args.seed, "modality": args.modality, "batch_size": args.batch_size,
         "focal_gamma": args.focal_gamma, "lr": args.lr, "epochs": args.epochs,
@@ -676,11 +677,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
         with dataio.recording_reads():
-            args = parser.parse_args(_with_config(list(argv)))
+            args = _parser().parse_args(_with_config(list(argv)))
             return args.func(args, list(argv))
     except (UsageError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,6 +18,11 @@ full.
 Every input reader reads its file once and, inside a ``recording_reads``
 block, records ``str(path) -> sha256`` of the bytes it parsed.  A command's
 manifest inputs are that record: exactly the files the command parsed.
+
+``load_dataset(data_dir, modalities)`` parses ``labels.csv`` and the FEMB
+file of each modality its caller's model reads, and opens no other file: a
+needed FEMB file that is missing fails with its path, and one not needed
+stays out of the manifest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,6 +257,11 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # labels and records
 
+def _in_range(triple: tuple[float, float, float]) -> bool:
+    lo, hi = ATTRIBUTE_RANGE
+    return lo <= triple[0] <= hi and lo <= triple[1] <= hi and lo <= triple[2] <= hi
+
+
 @dataclass
 class UtteranceRecord:
     id: str
@@ -264,59 +274,62 @@ class UtteranceRecord:
     def __post_init__(self) -> None:
         if self.split not in SPLITS:
             raise ValueError(f"record {self.id!r}: unknown split {self.split!r}")
-        if self.emotion is None and self.attributes is None:
-            raise ValueError(f"record {self.id!r}: needs an emotion or attributes")
+        a = self.attributes
         if self.emotion is not None:
             code_to_index(self.emotion)
-        if self.attributes is not None:
-            self.attributes = validate_attributes(self.attributes)
+        elif a is None:
+            raise ValueError(f"record {self.id!r}: needs an emotion or attributes")
+        # a triple read_labels made is already three floats in range
+        if a is not None and not (type(a) is tuple and len(a) == 3
+                                  and type(a[0]) is type(a[1]) is type(a[2]) is float and _in_range(a)):
+            self.attributes = validate_attributes(a)
         for name, mat in (("speech_frames", self.speech_frames), ("text_tokens", self.text_tokens)):
             if mat is not None and (mat.ndim != 2 or mat.shape[0] < 1):
                 raise ValueError(f"record {self.id!r}: {name} must be a T x D matrix with T >= 1")
 
 
-@dataclass(frozen=True)
-class LabelRow:
+class LabelRow(NamedTuple):
     id: str
     split: str
     emotion: str | None
     attributes: tuple[float, float, float] | None
 
 
-def _emotion(where: str, code: str) -> str | None:
+def _emotion(path, lineno: int, code: str) -> str | None:
     if code and code not in EMOTION_CODES:
-        raise ValueError(f"{where}: unknown emotion code {code!r}")
+        raise ValueError(f"{path}: line {lineno}: unknown emotion code {code!r}")
     return code or None
 
 
-def _triple(where: str, cells: Sequence[str]) -> tuple[float, float, float] | None:
+def _triple(path, lineno: int, cells: Sequence[str]) -> tuple[float, float, float] | None:
     """A row's attribute triple; None when all three cells are empty."""
-    filled = [c for c in cells if c != ""]
-    if not filled:
-        return None
-    if len(filled) != 3:
-        raise ValueError(f"{where}: partial attribute triple")
-    try:
-        return tuple(float(c) for c in cells)
-    except ValueError:
-        raise ValueError(f"{where}: non-numeric attribute") from None
+    a, v, d = cells
+    if a and v and d:
+        try:
+            return float(a), float(v), float(d)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric attribute") from None
+    if a or v or d:
+        raise ValueError(f"{path}: line {lineno}: partial attribute triple")
+    return None
 
 
 def read_labels(path) -> list[LabelRow]:
     rows: list[LabelRow] = []
-    lo, hi = ATTRIBUTE_RANGE
     for lineno, (rid, split, emotion, *attrs) in csv_rows(path, LABELS_HEADER):
-        where = f"{path}: line {lineno}"
         if split not in SPLITS:
-            raise ValueError(f"{where}: unknown split {split!r}")
-        emo = _emotion(where, emotion)
-        triple = _triple(where, attrs)
-        for name, v in zip(("arousal", "valence", "dominance"), triple or ()):
-            if not lo <= v <= hi:
-                raise ValueError(f"{where}: attribute {name} out of range [{lo:g}, {hi:g}]: {v}")
-        if emo is None and triple is None:
-            raise ValueError(f"{where}: neither emotion nor attributes present")
-        rows.append(LabelRow(id=rid, split=split, emotion=emo, attributes=triple))
+            raise ValueError(f"{path}: line {lineno}: unknown split {split!r}")
+        emo = _emotion(path, lineno, emotion)
+        triple = _triple(path, lineno, attrs)
+        if triple is None:
+            if emo is None:
+                raise ValueError(f"{path}: line {lineno}: neither emotion nor attributes present")
+        elif not _in_range(triple):
+            try:
+                validate_attributes(triple)  # names the first attribute out of range
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
+        rows.append(LabelRow(rid, split, emo, triple))
     return rows
 
 
@@ -345,16 +358,7 @@ def assemble_records(
             raise ValueError(f"record {row.id!r}: missing speech embeddings")
         if text is not None and tt is None:
             raise ValueError(f"record {row.id!r}: missing text embeddings")
-        records.append(
-            UtteranceRecord(
-                id=row.id,
-                split=row.split,
-                speech_frames=sf,
-                text_tokens=tt,
-                emotion=row.emotion,
-                attributes=row.attributes,
-            )
-        )
+        records.append(UtteranceRecord(row.id, row.split, sf, tt, row.emotion, row.attributes))
     return records
 
 
@@ -491,12 +495,13 @@ def write_dataset(out_dir, records: Sequence[UtteranceRecord]) -> dict[str, Path
     return paths
 
 
-def load_dataset(data_dir) -> list[UtteranceRecord]:
+def load_dataset(data_dir, modalities: Sequence[str]) -> list[UtteranceRecord]:
+    """The records of a ``write_dataset`` directory, with the features of
+    ``modalities`` (``speech``, ``text``) only; see the module docstring."""
     d = Path(data_dir)
     labels = read_labels(d / "labels.csv")
-    speech = read_embeddings(d / "speech.femb") if (d / "speech.femb").exists() else None
-    text = read_embeddings(d / "text.femb") if (d / "text.femb").exists() else None
-    return assemble_records(labels, speech=speech, text=text)
+    features = {modality: read_embeddings(d / f"{modality}.femb") for modality in modalities}
+    return assemble_records(labels, **features)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +592,11 @@ def write_predictions(path, preds: PredictionSet) -> None:
 def read_predictions(path) -> PredictionSet:
     preds = PredictionSet(task="unknown")
     for lineno, (rid, emotion, *attrs) in csv_rows(path, PREDICTIONS_HEADER):
-        where = f"{path}: line {lineno}"
         preds.ids.append(rid)
-        emo = _emotion(where, emotion)
+        emo = _emotion(path, lineno, emotion)
         if emo is not None:
             preds.labels[rid] = emo
-        triple = _triple(where, attrs)
+        triple = _triple(path, lineno, attrs)
         if triple is not None:
             preds.attributes[rid] = triple
     if preds.labels and preds.attributes:

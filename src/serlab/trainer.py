@@ -336,11 +336,53 @@ def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray | N
     return record.speech_frames if modality == "speech" else record.text_tokens
 
 
+# the most bytes a grouped finiteness check copies into one temporary array
+_CHECK_GROUP_BYTES = 128 * 1024
+
+
 def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
     """Reject records the model ``meta`` describes cannot read: a missing
     modality, a feature width other than the encoder's or a non-finite
-    value.  Training calls this before the first epoch."""
+    value.  Training calls this before the first epoch.
+
+    Each modality is checked over groups of records first; if any check
+    fails, the per-record loop runs and names the first bad record.
+    """
     cfgs = _encoder_cfgs(meta)
+    if not all(_readable(records, modality, _width(modality, cfg)) for modality, cfg in cfgs.items()):
+        _check_each(cfgs, records)
+
+
+def _width(modality: str, cfg: model.EncoderCfg) -> int:
+    return cfg.frame_dim if modality == "speech" else cfg.token_dim
+
+
+def _readable(records: Sequence[UtteranceRecord], modality: str, width: int) -> bool:
+    """Whether every record has finite ``modality`` features ``width`` wide.
+    Finiteness is checked once per group of arrays that together hold at
+    most ``_CHECK_GROUP_BYTES``; an array larger than that is checked alone."""
+    group: list[np.ndarray] = []
+    size = 0
+    for r in records:
+        feats = _modality_features(r, modality)
+        if feats is None or feats.shape[1] != width:  # records are T x D with T >= 1
+            return False
+        if group and size + feats.nbytes > _CHECK_GROUP_BYTES:
+            if not _finite(group):
+                return False
+            group, size = [], 0
+        group.append(feats)
+        size += feats.nbytes
+    return not group or _finite(group)
+
+
+def _finite(arrays: Sequence[np.ndarray]) -> bool:
+    block = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return bool(np.isfinite(block).all())
+
+
+def _check_each(cfgs: Mapping[str, model.EncoderCfg], records: Sequence[UtteranceRecord]) -> None:
+    """``_check_inputs`` one record at a time: raises for the first bad record."""
     for r in records:
         for modality, cfg in cfgs.items():
             feats = _modality_features(r, modality)
@@ -348,8 +390,8 @@ def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
                 if len(cfgs) == 2:
                     raise ValueError(f"record {r.id!r}: dual-modality model needs both feature sets")
                 raise ValueError(f"record {r.id!r}: missing {modality} features")
-            width = cfg.frame_dim if modality == "speech" else cfg.token_dim
-            if feats.shape[1] != width:  # records are T x D with T >= 1 by construction
+            width = _width(modality, cfg)
+            if feats.shape[1] != width:
                 raise ValueError(
                     f"record {r.id!r}: expected T x {width} {modality} features, got {feats.shape}"
                 )

@@ -139,11 +139,11 @@ class TestExitCodes:
     def test_replay_refuses_missing_input_and_runs_nothing(self, dataset, stage1_ckpts, tmp_path,
                                                           capsys):
         data, preds = self._predicted_copy(dataset, stage1_ckpts[0], tmp_path)
-        (data / "text.femb").unlink()
+        (data / "speech.femb").unlink()
         preds.unlink()
         capsys.readouterr()
         assert cli_dispatch(["replay", "--manifest", str(preds) + ".manifest.json"]) == 2
-        assert str(data / "text.femb") in capsys.readouterr().err
+        assert str(data / "speech.femb") in capsys.readouterr().err
         assert not preds.exists()
 
     def test_replay_refuses_changed_config_and_keeps_outputs(self, dataset, stage1_ckpts, tmp_path,
@@ -170,8 +170,8 @@ class TestExitCodes:
         parsed = labels.read_bytes()
         load = dataio.load_dataset
 
-        def load_then_replace_labels(data_dir):
-            records = load(data_dir)
+        def load_then_replace_labels(data_dir, modalities):
+            records = load(data_dir, modalities)
             labels.write_bytes(parsed.replace(b",A,", b",C,", 1))
             return records
 
@@ -182,9 +182,42 @@ class TestExitCodes:
         ) == 0
         inputs = json.loads(Path(str(preds) + ".manifest.json").read_text())["inputs"]
         assert inputs[str(labels)] == hashlib.sha256(parsed).hexdigest()
-        assert sorted(inputs) == sorted(
-            [str(data / "speech.femb"), str(data / "text.femb"), str(labels), str(stage1_ckpts[0])]
-        )
+        assert sorted(inputs) == sorted([str(data / "speech.femb"), str(labels), str(stage1_ckpts[0])])
+
+    def test_commands_parse_only_the_features_their_model_reads(self, dataset, stage1_ckpts,
+                                                              tmp_path, capsys):
+        data = self._data_copy(dataset, tmp_path)
+        speech = data / "speech.femb"
+        speech.write_bytes(speech.read_bytes() + b"\0")
+        text_ckpt = tmp_path / "t.fckp"
+        assert cli_dispatch(
+            ["train-stage1", "--data", str(data), "--modality", "text", "--task", "categorical",
+             "--epochs", "1", "--seed", "3", "--out", str(text_ckpt)]
+        ) == 0
+        inputs = json.loads(Path(str(text_ckpt) + ".manifest.json").read_text())["inputs"]
+        assert sorted(inputs) == sorted([str(data / "labels.csv"), str(data / "text.femb")])
+        capsys.readouterr()
+        assert cli_dispatch(
+            ["train-stage2", "--data", str(data), "--task", "categorical", "--epochs", "1",
+             "--seed", "7", "--speech-ckpt", str(stage1_ckpts[0]), "--text-ckpt", str(text_ckpt),
+             "--out", str(tmp_path / "s2.fckp")]
+        ) == 1
+        assert "error: trailing bytes after last record (byte offset" in capsys.readouterr().err
+        assert not (tmp_path / "s2.fckp").exists()
+
+    def test_predict_names_the_missing_features_its_model_needs(self, dataset, stage1_ckpts,
+                                                              tmp_path, capsys):
+        data = self._data_copy(dataset, tmp_path)
+        (data / "text.femb").unlink()
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(
+            ["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(data), "--out", str(preds)]
+        ) == 0
+        capsys.readouterr()
+        assert cli_dispatch(
+            ["predict", "--ckpt", str(stage1_ckpts[1]), "--data", str(data), "--out", str(preds)]
+        ) == 1
+        assert str(data / "text.femb") in capsys.readouterr().err
 
     def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
         code = cli_dispatch(

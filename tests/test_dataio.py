@@ -330,7 +330,7 @@ class TestSynthetic:
     def test_dataset_round_trip(self, tmp_path):
         records = gen_synthetic(SynthConfig(class_counts=(3,) * 8, seed=7))
         write_dataset(tmp_path / "ds", records)
-        back = dataio.load_dataset(tmp_path / "ds")
+        back = dataio.load_dataset(tmp_path / "ds", ("speech", "text"))
         assert [r.id for r in back] == [r.id for r in records]
         for a, b in zip(records, back):
             assert a.split == b.split and a.emotion == b.emotion
@@ -423,7 +423,7 @@ class TestRecordedReads:
         ckpt = tmp_path / "c.fckp"
         write_checkpoint(ckpt, {"a": np.ones(2)}, {"stage": 1})
         with dataio.recording_reads():
-            dataio.load_dataset(tmp_path)
+            dataio.load_dataset(tmp_path, ("speech", "text"))
             read_checkpoint(ckpt)
             record = dataio.recorded_reads()
         assert record == {

@@ -7,13 +7,14 @@ import pytest
 
 from serlab import model
 from serlab import numerics as nm
-from serlab.dataio import SynthConfig, gen_synthetic
+from serlab.dataio import SynthConfig, UtteranceRecord, gen_synthetic
 from serlab.metrics import attribute_metrics, classification_metrics
 from serlab.trainer import (
     AdamState,
     Checkpoint,
     TrainConfig,
     TrainingError,
+    _check_inputs,
     adam_step,
     build_model,
     frozen_tensor_hashes,
@@ -351,3 +352,77 @@ class TestTrainingFailures:
         with pytest.raises(ValueError, match="non-finite speech features"):
             train_stage1(_quick_cfg(), bad, log_path=log)
         assert not log.exists()
+
+
+class TestCheckInputs:
+    """``_check_inputs`` checks groups of records first and, when a group
+    fails, the records one at a time, so it names the same first bad record,
+    with the same message, as a per-record loop.  At 8 x 12 float64 frames a
+    record is 768 bytes: about 170 fit in a 128 KiB group."""
+
+    ENC = {"hidden_dim": 4, "out_dim": 4}
+    SPEECH = {"stage": 1, "modality": "speech", "encoder": {"frame_dim": 12, **ENC}}
+    DUAL = {"stage": 2, "speech_encoder": {"frame_dim": 12, **ENC},
+            "text_encoder": {"frame_dim": 6, **ENC}}
+
+    @staticmethod
+    def _records(n=600):
+        rng = np.random.default_rng(5)
+        return [
+            UtteranceRecord(id=f"r{i:03d}", split="train", emotion="A",
+                            speech_frames=rng.normal(size=(8, 12)),
+                            text_tokens=rng.normal(size=(8, 6)))
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _spoil(records, i, **fields):
+        records[i] = dataclasses.replace(records[i], **fields)
+
+    def test_good_records_pass_including_one_above_the_group_size(self):
+        records = self._records()
+        self._spoil(records, 300, speech_frames=np.ones((2000, 12)))  # 192,000 bytes
+        _check_inputs(self.SPEECH, records)
+        _check_inputs(self.DUAL, records)
+
+    def test_nan_frame_names_the_first_bad_record(self):
+        records = self._records()
+        frames = records[450].speech_frames.copy()
+        frames[3, 7] = np.nan
+        self._spoil(records, 450, speech_frames=frames)
+        self._spoil(records, 599, speech_frames=np.ones((8, 13)))
+        with pytest.raises(ValueError) as info:
+            _check_inputs(self.SPEECH, records)
+        assert str(info.value) == "record 'r450': non-finite speech features"
+
+    def test_nan_in_an_array_above_the_group_size(self):
+        records = self._records()
+        frames = np.ones((2000, 12))
+        frames[1999, 0] = np.inf
+        self._spoil(records, 300, speech_frames=frames)
+        with pytest.raises(ValueError) as info:
+            _check_inputs(self.SPEECH, records)
+        assert str(info.value) == "record 'r300': non-finite speech features"
+
+    def test_width_mismatch_in_the_last_record(self):
+        records = self._records()
+        self._spoil(records, 599, speech_frames=np.ones((8, 13)))
+        with pytest.raises(ValueError) as info:
+            _check_inputs(self.SPEECH, records)
+        assert str(info.value) == "record 'r599': expected T x 12 speech features, got (8, 13)"
+
+    def test_dual_modality_record_missing_text(self):
+        records = self._records()
+        self._spoil(records, 450, text_tokens=None)
+        self._spoil(records, 500, speech_frames=np.full((8, 12), np.nan))
+        with pytest.raises(ValueError) as info:
+            _check_inputs(self.DUAL, records)
+        assert str(info.value) == "record 'r450': dual-modality model needs both feature sets"
+
+    def test_first_bad_record_across_modalities(self):
+        records = self._records()
+        self._spoil(records, 400, speech_frames=np.full((8, 12), np.nan))
+        self._spoil(records, 300, text_tokens=np.full((8, 6), np.nan))
+        with pytest.raises(ValueError) as info:
+            _check_inputs(self.DUAL, records)
+        assert str(info.value) == "record 'r300': non-finite text features"
