@@ -349,36 +349,25 @@ def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
     fails, the per-record loop runs and names the first bad record.
     """
     cfgs = _encoder_cfgs(meta)
-    if not all(_readable(records, modality, _width(modality, cfg)) for modality, cfg in cfgs.items()):
-        _check_each(cfgs, records)
+    for modality, cfg in cfgs.items():
+        if not _readable([_modality_features(r, modality) for r in records], _width(modality, cfg)):
+            _check_each(cfgs, records)
 
 
 def _width(modality: str, cfg: model.EncoderCfg) -> int:
     return cfg.frame_dim if modality == "speech" else cfg.token_dim
 
 
-def _readable(records: Sequence[UtteranceRecord], modality: str, width: int) -> bool:
-    """Whether every record has finite ``modality`` features ``width`` wide.
-    Finiteness is checked once per group of arrays that together hold at
-    most ``_CHECK_GROUP_BYTES``; an array larger than that is checked alone."""
-    group: list[np.ndarray] = []
-    size = 0
-    for r in records:
-        feats = _modality_features(r, modality)
-        if feats is None or feats.shape[1] != width:  # records are T x D with T >= 1
-            return False
-        if group and size + feats.nbytes > _CHECK_GROUP_BYTES:
-            if not _finite(group):
-                return False
-            group, size = [], 0
-        group.append(feats)
-        size += feats.nbytes
-    return not group or _finite(group)
-
-
-def _finite(arrays: Sequence[np.ndarray]) -> bool:
-    block = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    return bool(np.isfinite(block).all())
+def _readable(feats: Sequence[np.ndarray | None], width: int) -> bool:
+    """Whether every array is present, ``width`` wide and finite.  Finiteness
+    is checked over groups of as many arrays as fit in ``_CHECK_GROUP_BYTES``
+    at the largest one's size; when none fits twice, one array at a time,
+    uncopied."""
+    if any(f is None or f.shape[1] != width for f in feats):  # records are T x D with T >= 1
+        return False
+    step = max(1, _CHECK_GROUP_BYTES // max((f.nbytes for f in feats), default=1))
+    groups = (feats[i:i + step] for i in range(0, len(feats), step))
+    return all(np.isfinite(g[0] if step == 1 else np.concatenate(g)).all() for g in groups)
 
 
 def _check_each(cfgs: Mapping[str, model.EncoderCfg], records: Sequence[UtteranceRecord]) -> None:
