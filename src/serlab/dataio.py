@@ -301,9 +301,8 @@ def _emotion(path, lineno: int, code: str) -> str | None:
     return code or None
 
 
-def _triple(path, lineno: int, cells: Sequence[str]) -> tuple[float, float, float] | None:
+def _triple(path, lineno: int, a: str, v: str, d: str) -> tuple[float, float, float] | None:
     """A row's attribute triple; None when all three cells are empty."""
-    a, v, d = cells
     if a and v and d:
         try:
             return float(a), float(v), float(d)
@@ -316,21 +315,36 @@ def _triple(path, lineno: int, cells: Sequence[str]) -> tuple[float, float, floa
 
 def read_labels(path) -> list[LabelRow]:
     rows: list[LabelRow] = []
-    for lineno, (rid, split, emotion, *attrs) in csv_rows(path, LABELS_HEADER):
-        if split not in SPLITS:
-            raise ValueError(f"{path}: line {lineno}: unknown split {split!r}")
-        emo = _emotion(path, lineno, emotion)
-        triple = _triple(path, lineno, attrs)
-        if triple is None:
-            if emo is None:
-                raise ValueError(f"{path}: line {lineno}: neither emotion nor attributes present")
-        elif not _in_range(triple):
+    for lineno, (rid, split, emotion, a, v, d) in csv_rows(path, LABELS_HEADER):
+        triple = None
+        if a and v and d:
             try:
-                validate_attributes(triple)  # names the first attribute out of range
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-        rows.append(LabelRow(rid, split, emo, triple))
+                triple = float(a), float(v), float(d)
+            except ValueError:
+                pass
+        # the common row: known split and emotion code, three numbers in range
+        if not (split in SPLITS and emotion in EMOTION_CODES and triple is not None and _in_range(triple)):
+            emotion, triple = _label_row(path, lineno, split, emotion, a, v, d)
+        rows.append(LabelRow(rid, split, emotion, triple))
     return rows
+
+
+def _label_row(path, lineno: int, split: str, emotion: str, a: str, v: str, d: str):
+    """(emotion, triple) of a row the common path did not take; raises the
+    row's first defect, naming the file and line."""
+    if split not in SPLITS:
+        raise ValueError(f"{path}: line {lineno}: unknown split {split!r}")
+    emo = _emotion(path, lineno, emotion)
+    triple = _triple(path, lineno, a, v, d)
+    if triple is None:
+        if emo is None:
+            raise ValueError(f"{path}: line {lineno}: neither emotion nor attributes present")
+    elif not _in_range(triple):
+        try:
+            validate_attributes(triple)  # names the first attribute out of range
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: {err}") from None
+    return emo, triple
 
 
 def write_labels(path, rows: Sequence[LabelRow]) -> None:
@@ -591,12 +605,12 @@ def write_predictions(path, preds: PredictionSet) -> None:
 
 def read_predictions(path) -> PredictionSet:
     preds = PredictionSet(task="unknown")
-    for lineno, (rid, emotion, *attrs) in csv_rows(path, PREDICTIONS_HEADER):
+    for lineno, (rid, emotion, a, v, d) in csv_rows(path, PREDICTIONS_HEADER):
         preds.ids.append(rid)
         emo = _emotion(path, lineno, emotion)
         if emo is not None:
             preds.labels[rid] = emo
-        triple = _triple(path, lineno, attrs)
+        triple = _triple(path, lineno, a, v, d)
         if triple is not None:
             preds.attributes[rid] = triple
     if preds.labels and preds.attributes:
