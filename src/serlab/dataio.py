@@ -164,6 +164,15 @@ class _Reader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def text(self, n: int, what: str, at: int) -> str:
+        """The next ``n`` bytes as UTF-8 text; ``at`` is the offset of the
+        length field ``n`` came from.  Invalid UTF-8 cites the text's offset."""
+        start = self.offset
+        try:
+            return self.take(n, what, at).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} is not valid UTF-8", start) from None
+
     def finish(self, last: str) -> None:
         if self.f.read(1):
             raise FormatError(f"trailing bytes after last {last}", self.offset)
@@ -241,11 +250,17 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
             raise FormatError(f"bad magic {magic!r}, expected {EMB_MAGIC!r}", 0)
         if version != EMB_VERSION:
             raise FormatError(f"unsupported version {version}", 4)
+        if dim == 0:
+            raise FormatError("feature dim 0", 8)
         out: list[tuple[str, np.ndarray]] = []
+        seen: set[str] = set()
         for _ in range(count):
             at = r.offset
             (id_len,) = r.unpack("<H", "id length")
-            name = r.take(id_len, "record id", at).decode("utf-8")
+            name = r.text(id_len, "record id", at)
+            if name in seen:
+                raise FormatError(f"duplicate record id {name!r}", at)
+            seen.add(name)
             at = r.offset
             (frames,) = r.unpack("<I", "frame count")
             raw = r.take(frames * dim * 4, f"record {name!r} data", at)
@@ -556,7 +571,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         for _ in range(count):
             at = r.offset
             (name_len,) = r.unpack("<H", "tensor name length")
-            name = r.take(name_len, "tensor name", at).decode("utf-8")
+            name = r.text(name_len, "tensor name", at)
             at = r.offset
             (rank,) = r.unpack("<I", "tensor rank")
             shape_at = r.offset

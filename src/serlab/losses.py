@@ -75,50 +75,37 @@ def _validate_targets(targets: Sequence[int], batch: int) -> np.ndarray:
     return t.astype(np.int64)
 
 
-def _target_log_probs(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """log p_t = z_t - m - log sum exp(z - m), with m the row max held
-    constant: finite however far apart the logits are."""
-    onehot = np.zeros((targets.size, NUM_CLASSES))
-    onehot[np.arange(targets.size), targets] = 1.0
-    shifted = logits - nm.Tensor(logits.data.max(axis=1, keepdims=True))
-    log_norm = nm.log(nm.exp(shifted).sum(axis=1))  # the sum is >= 1
-    return (shifted * nm.tensor(onehot)).sum(axis=1) - log_norm
+def _check_logits(logits: Tensor, targets: Sequence[int]) -> np.ndarray:
+    if logits.data.ndim != 2 or logits.shape[1] != NUM_CLASSES:
+        raise ValueError(f"logits: expected B x {NUM_CLASSES}, got shape {logits.shape}")
+    return _validate_targets(targets, logits.shape[0])
 
 
 def weighted_cross_entropy(logits: Tensor, targets: Sequence[int], weights: ClassWeights) -> Tensor:
     """Per-class weighted CE, normalized by the total weight (weighted mean)."""
-    if logits.data.ndim != 2 or logits.shape[1] != NUM_CLASSES:
-        raise ValueError(f"logits: expected B x {NUM_CLASSES}, got shape {logits.shape}")
-    t = _validate_targets(targets, logits.shape[0])
-    nll = -_target_log_probs(logits, t)
+    t = _check_logits(logits, targets)
     w = weights.weights[t]
-    return (nll * nm.tensor(w)).sum() / nm.tensor(float(w.sum()))
+    return (nm.focal_terms(logits, t, 0.0) * nm.tensor(w)).sum() / nm.tensor(float(w.sum()))
 
 
 def focal_loss(logits: Tensor, targets: Sequence[int], cfg: FocalConfig) -> Tensor:
     """Mean of alpha_t * (1 - p_t)^gamma * (-log p_t) over the batch."""
-    if logits.data.ndim != 2 or logits.shape[1] != NUM_CLASSES:
-        raise ValueError(f"logits: expected B x {NUM_CLASSES}, got shape {logits.shape}")
-    t = _validate_targets(targets, logits.shape[0])
-    log_pt = _target_log_probs(logits, t)
-    nll = -log_pt
-    pt = nm.exp(log_pt)
-    modulator = nm.powf(1.0 - pt, cfg.gamma)
-    a = cfg.alpha[t]
-    per_sample = nll * modulator * nm.tensor(a)
+    t = _check_logits(logits, targets)
+    per_sample = nm.focal_terms(logits, t, cfg.gamma) * nm.tensor(cfg.alpha[t])
     return per_sample.sum() / nm.tensor(float(t.size))
 
 
 # ---------------------------------------------------------------------------
 # concordance correlation coefficient
 
-def _ccc_moments(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    # population (1/N) moments throughout
-    mx, my = float(x.mean()), float(y.mean())
-    vx = float(np.mean((x - mx) ** 2))
-    vy = float(np.mean((y - my) ** 2))
-    cov = float(np.mean((x - mx) * (y - my)))
-    return cov, vx, vy, mx - my
+def _ccc_moments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Population (1/N) moments along the last axis: cov, var_x, var_y and
+    the mean gap."""
+    n = x.shape[-1]
+    mx, my = x.sum(axis=-1, keepdims=True) / n, y.sum(axis=-1, keepdims=True) / n
+    xc, yc = x - mx, y - my
+    return ((xc * yc).sum(axis=-1) / n, (xc * xc).sum(axis=-1) / n,
+            (yc * yc).sum(axis=-1) / n, (mx - my)[..., 0])
 
 
 def ccc(pred: Sequence[float], truth: Sequence[float]) -> float:
@@ -129,23 +116,11 @@ def ccc(pred: Sequence[float], truth: Sequence[float]) -> float:
         raise ValueError(f"ccc: inputs must be equal-length 1-D, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise ValueError("ccc: need at least 2 samples")
-    cov, vx, vy, gap = _ccc_moments(x, y)
+    cov, vx, vy, gap = (float(m) for m in _ccc_moments(x, y))
     denom = vx + vy + gap * gap
     if denom < CCC_DEGENERATE_EPS:
         raise ValueError("degenerate CCC: both variances and mean gap are ~0")
     return 2.0 * cov / denom
-
-
-def _ccc_column_graph(pred_col: Tensor, truth_col: np.ndarray) -> Tensor:
-    my = float(truth_col.mean())
-    yc = truth_col - my
-    vy = float(np.mean(yc * yc))
-    mx = pred_col.mean()
-    xc = pred_col - mx
-    cov = (xc * nm.tensor(yc)).mean()
-    vx = nm.square(xc).mean()
-    gap_sq = nm.square(mx - my)
-    return (2.0 * cov) / (vx + vy + gap_sq)
 
 
 def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
@@ -157,17 +132,11 @@ def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
         )
     if pred.shape[0] < 2:
         raise ValueError("ccc_loss: need at least 2 samples")
-    cols = []
-    for j in range(3):
-        unit = np.zeros(3)
-        unit[j] = 1.0
-        pcol = pred @ nm.tensor(unit)
-        cov, vx, vy, gap = _ccc_moments(pred.data[:, j], y[:, j])
-        if vx + vy + gap * gap < CCC_DEGENERATE_EPS:
-            raise ValueError(f"degenerate CCC in attribute column {j}")
-        cols.append(_ccc_column_graph(pcol, y[:, j]))
-    mean_ccc = (cols[0] + cols[1] + cols[2]) / nm.tensor(3.0)
-    return 1.0 - mean_ccc
+    _, vx, vy, gap = _ccc_moments(pred.data.T.copy(), y.T.copy())
+    degenerate = np.flatnonzero(vx + vy + gap * gap < CCC_DEGENERATE_EPS)
+    if degenerate.size:
+        raise ValueError(f"degenerate CCC in attribute column {degenerate[0]}")
+    return 1.0 - nm.ccc_columns(pred, y).sum() / 3.0
 
 
 def mse_loss(pred: Tensor, truth: np.ndarray) -> Tensor:

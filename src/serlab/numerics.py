@@ -2,10 +2,12 @@
 
 The op set is fixed and closed: matmul, broadcast add/sub/mul/div,
 transpose, the elementwise functions tanh/exp/log/sigmoid/softplus/mish/
-relu/square/sqrt/powf, softmax, concat, row stacking, axis sum/mean, and
-ragged attention over packed sequences (``segment_attention``).
-Everything else in the package composes exactly these ops, which keeps
-every gradient path finite-difference checkable.
+relu/square/sqrt/powf, softmax, concat, row stacking, axis sum/mean,
+ragged attention over packed sequences (``segment_attention``), and the
+two training-loss kernels: per-column concordance (``ccc_columns``) and the
+per-row focal term (``focal_terms``).  Everything else in the package
+composes exactly these ops, which keeps every gradient path
+finite-difference checkable.
 
 Graphs are built eagerly (each op computes its value on construction) and
 differentiated once by ``backward``.  Ops never mutate their inputs, so
@@ -50,6 +52,8 @@ __all__ = [
     "concat",
     "stack_rows",
     "segment_attention",
+    "ccc_columns",
+    "focal_terms",
 ]
 
 
@@ -484,6 +488,80 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
         _accum(v, dv)
 
     return _node(out, (q, k, v), "segment_attention", backward_fn)
+
+
+def ccc_columns(x, y) -> Tensor:
+    """Lin's concordance correlation of each column of ``x`` (B x C) with the
+    same column of the constant ``y``: a (C,) tensor of
+    ``c = 2·cov / D``, ``D = var_x + var_y + (x̄ − ȳ)²``, population moments.
+
+    Each column's moments are summed in the order a 1-D column sum takes,
+    so ``c`` is bit-identical to the same formula composed from graph ops.
+    The backward is closed-form:
+    ``dc_j/dx_ij = (2/(B·D_j))·((y_ij − ȳ_j) − c_j·((x_ij − x̄_j) + (x̄_j − ȳ_j)))``.
+    """
+    x = _coerce(x)
+    yd = np.asarray(y, dtype=np.float64)
+    if x.data.ndim != 2 or yd.shape != x.shape or x.shape[0] < 2:
+        raise ValueError(f"ccc_columns: expected matching B x C inputs, B >= 2, "
+                         f"got {x.shape} and {yd.shape}")
+    n, cols = x.shape
+    xy = np.concatenate([x.data, yd], axis=1).T.copy()  # x then y columns as contiguous rows
+    mean = xy.sum(axis=1) / n
+    centered = xy - mean[:, None]
+    xc, yc = centered[:cols], centered[cols:]
+    var = (centered * centered).sum(axis=1) / n
+    gap = mean[:cols] - mean[cols:]
+    denom = var[:cols] + var[cols:] + gap * gap
+    if not denom.all():
+        raise ValueError(f"ccc_columns: zero denominator in column {int(np.argmin(denom))}")
+    c = 2.0 * ((xc * yc).sum(axis=1) / n) / denom
+
+    def backward_fn(g: Array) -> None:
+        d = (yc - c[:, None] * (xc + gap[:, None])) * (2.0 * g / (n * denom))[:, None]
+        _accum(x, d.T)
+
+    return _node(c, (x,), "ccc_columns", backward_fn)
+
+
+def focal_terms(logits, targets, gamma: float) -> Tensor:
+    """Per-row focal term ``(1 − p_t)^γ · (−log p_t)`` of B x K ``logits``,
+    p_t the softmax probability of row b's class ``targets[b]``; γ = 0 gives
+    the cross-entropy.
+
+    ``log p_t = z_t − m − log Σ exp(z − m)``, with m the row max, so the term
+    stays finite however far apart the logits are.  The backward is
+    closed-form: ``∂/∂log p_t = −(1 − p_t)^γ + γ·log p_t·p_t·(1 − p_t)^(γ−1)``,
+    whose second part takes its limit 0 where p_t rounds to 1, times
+    ``onehot − softmax`` for the logits.
+    """
+    x = _coerce(logits)
+    xd = x.data
+    t = np.asarray(targets)
+    if xd.ndim != 2 or t.shape != (xd.shape[0],):
+        raise ValueError(f"focal_terms: {t.shape} targets do not fit logits {x.shape}")
+    _check_finite(xd, "focal_terms")
+    gamma = float(gamma)
+    rows = np.arange(t.size)
+    shifted = xd - xd.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1)  # >= 1: the max's own term is 1
+    log_pt = shifted[rows, t] - np.log(s)
+    pt = np.exp(log_pt)
+    q = 1.0 - pt
+    modulator = np.power(q, gamma)
+    nll = -log_pt
+    data = nll * modulator
+
+    def backward_fn(g: Array) -> None:
+        slope = np.zeros_like(q)  # (1 - p_t)^(γ-1), 0 where p_t rounds to 1
+        np.power(q, gamma - 1.0, out=slope, where=q > 0.0)
+        g_log_pt = -(g * modulator) - (g * nll) * (gamma * slope) * pt
+        d = ((-g_log_pt) * (1.0 / s))[:, None] * e  # the softmax part
+        d[rows, t] += g_log_pt  # the onehot part
+        _accum(x, d)
+
+    return _node(data, (x,), "focal_terms", backward_fn)
 
 
 def _reduce(x: Tensor, axis: int | None, mean: bool) -> Tensor:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -113,38 +114,65 @@ class Checkpoint:
         return cls(tensors=tensors, metadata=metadata)
 
 
-@dataclass
 class AdamState:
-    step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's step count and moments for the parameters ``names``.
+
+    Each moment is one flat float64 buffer holding the parameters' entries
+    back to back, in ``names`` order; ``m[name]`` and ``v[name]`` are a
+    parameter's views into it.
+    """
+
+    def __init__(self, names: Sequence[str], shapes: Sequence[tuple[int, ...]]) -> None:
+        self.names = tuple(names)
+        self.shapes = tuple(shapes)
+        self.bounds = np.cumsum([0] + [math.prod(s) for s in self.shapes]).tolist()
+        self.step = 0
+        self.flat_m = np.zeros(self.bounds[-1])
+        self.flat_v = np.zeros(self.bounds[-1])
 
     @classmethod
     def for_params(cls, params: nm.ParamStore, names: Sequence[str]) -> "AdamState":
-        return cls(
-            step=0,
-            m={n: np.zeros_like(params.value(n)) for n in names},
-            v={n: np.zeros_like(params.value(n)) for n in names},
-        )
+        return cls(names, [params.value(n).shape for n in names])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of a flat buffer, by name, in its shape."""
+        b = self.bounds
+        return {n: flat[b[i]:b[i + 1]].reshape(s)
+                for i, (n, s) in enumerate(zip(self.names, self.shapes))}
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self.views(self.flat_m)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self.views(self.flat_v)
 
 
 def adam_step(
     params: nm.ParamStore, grads: Mapping[str, np.ndarray], state: AdamState, lr: float
 ) -> None:
-    """One Adam update, in place, over the parameters tracked by ``state``."""
+    """One Adam update over the parameters tracked by ``state``, as one set of
+    vector ops over their values and gradients laid end to end.
+
+    Each parameter is rebound to its view of the new values, never written
+    in place: graphs built before the step may still read its old array.
+    """
+    for name, shape in zip(state.names, state.shapes):
+        if grads[name].shape != shape:
+            raise ValueError(
+                f"adam_step: gradient shape {grads[name].shape} mismatches {name!r} {shape}"
+            )
+    g = np.concatenate([grads[n] for n in state.names], axis=None)
+    p = np.concatenate([params.value(n) for n in state.names], axis=None)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for name in state.m:
-        g = grads[name]
-        p = params.value(name)
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} mismatches {name!r} {p.shape}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params.set_value(name, p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    state.flat_m = ADAM_BETA1 * state.flat_m + (1.0 - ADAM_BETA1) * g
+    state.flat_v = ADAM_BETA2 * state.flat_v + (1.0 - ADAM_BETA2) * (g * g)
+    new = p - lr * (state.flat_m / bc1) / (np.sqrt(state.flat_v / bc2) + ADAM_EPS)
+    for name, view in state.views(new).items():
+        params.set_value(name, view)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +307,7 @@ def _run_epochs(
                 with _failure_site(cfg, epoch, f"batch {step}"):
                     loss = _batch_loss(cfg, net, batch, cat_loss)
                     nm.backward(loss, params)
-                    grads = {name: params.grad(name) for name in state.m}
+                    grads = {name: params.grad(name) for name in state.names}
                     adam_step(params, grads, state, cfg.learning_rate)
                 total += loss.item() * len(batch)
                 count += len(batch)

@@ -1,6 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, the
-per-utterance encoder and cross-attention oracles for packed batches, and a
-throwaway chat-completion server for exercising the LLM client."""
+per-utterance encoder and cross-attention oracles for packed batches, the
+graph-composed loss and per-tensor Adam oracles for the closed-form loss ops
+and the flat Adam update, and a throwaway chat-completion server for
+exercising the LLM client."""
 
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from serlab import model
+from serlab import losses, model
 from serlab import numerics as nm
+from serlab.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def finite_difference_grads(
@@ -104,6 +107,72 @@ def oracle_cross_attention(Hs, Ht, p) -> nm.Tensor:
     v = Hs @ p["v.W"]
     weights = nm.softmax(q @ k.T, axis=1)
     return (weights @ v).mean(axis=0)
+
+
+def _oracle_target_log_probs(logits: nm.Tensor, targets: np.ndarray) -> nm.Tensor:
+    onehot = np.zeros((targets.size, losses.NUM_CLASSES))
+    onehot[np.arange(targets.size), targets] = 1.0
+    shifted = logits - nm.Tensor(logits.data.max(axis=1, keepdims=True))
+    log_norm = nm.log(nm.exp(shifted).sum(axis=1))
+    return (shifted * nm.tensor(onehot)).sum(axis=1) - log_norm
+
+
+def oracle_weighted_cross_entropy(logits, targets, weights) -> nm.Tensor:
+    """Weighted cross-entropy composed from elementwise graph ops."""
+    t = np.asarray(targets, dtype=np.int64)
+    nll = -_oracle_target_log_probs(logits, t)
+    w = weights.weights[t]
+    return (nll * nm.tensor(w)).sum() / nm.tensor(float(w.sum()))
+
+
+def oracle_focal_loss(logits, targets, cfg) -> nm.Tensor:
+    """Focal loss composed from elementwise graph ops, ``powf`` for the
+    modulator: the form ``losses.focal_loss`` must reproduce bit for bit."""
+    t = np.asarray(targets, dtype=np.int64)
+    log_pt = _oracle_target_log_probs(logits, t)
+    modulator = nm.powf(1.0 - nm.exp(log_pt), cfg.gamma)
+    per_sample = -log_pt * modulator * nm.tensor(cfg.alpha[t])
+    return per_sample.sum() / nm.tensor(float(t.size))
+
+
+def oracle_ccc_loss(pred, truth) -> nm.Tensor:
+    """1 - mean CCC with each column's moments composed from graph ops."""
+    y = np.asarray(truth, dtype=np.float64)
+    cols = []
+    for j in range(3):
+        unit = np.zeros(3)
+        unit[j] = 1.0
+        pcol = pred @ nm.tensor(unit)
+        my = float(y[:, j].mean())
+        yc = y[:, j] - my
+        vy = float(np.mean(yc * yc))
+        mx = pcol.mean()
+        xc = pcol - mx
+        cov = (xc * nm.tensor(yc)).mean()
+        vx = nm.square(xc).mean()
+        cols.append((2.0 * cov) / (vx + vy + nm.square(mx - my)))
+    return 1.0 - (cols[0] + cols[1] + cols[2]) / nm.tensor(3.0)
+
+
+class OracleAdam:
+    """Adam with one moment array per tensor, updated tensor by tensor."""
+
+    def __init__(self, params: nm.ParamStore, names) -> None:
+        self.step = 0
+        self.m = {n: np.zeros_like(params.value(n)) for n in names}
+        self.v = {n: np.zeros_like(params.value(n)) for n in names}
+
+    def update(self, params: nm.ParamStore, grads, lr: float) -> None:
+        self.step += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
+        for name in self.m:
+            g = grads[name]
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            params.set_value(name, params.value(name) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 class MockChatServer:

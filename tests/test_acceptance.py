@@ -73,6 +73,18 @@ def _check_op_groups(rng):
         + nm.transpose(s["m"]).mean(),
         {"m": m.copy(), "u": u.copy(), "p": p.copy(), "q": q.copy()},
     )
+    logits = rng.normal(size=(3, 8))
+    targets = rng.integers(0, 8, size=3)
+    for gamma in (0.0, 0.5, 2.0):
+        check_gradients(
+            lambda s: (nm.focal_terms(s["z"], targets, gamma) * nm.tensor(w)).sum(),
+            {"z": logits.copy()},
+        )
+    truth = rng.uniform(-1, 1, size=(2, 3))
+    check_gradients(
+        lambda s: (nm.ccc_columns(s["x"], truth) * nm.tensor(w)).sum(),
+        {"x": rng.uniform(-1, 1, size=(2, 3))},
+    )
     A = rng.uniform(-1, 1, size=(2, 3))
     B = rng.uniform(-1, 1, size=(3, 2))
     x = rng.uniform(-1, 1, size=3)

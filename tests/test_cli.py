@@ -229,6 +229,22 @@ class TestExitCodes:
         assert "stage-1 text training failed at epoch 0, batch 1: " in err
         assert not (tmp_path / "t.fckp").exists()
 
+    def test_focal_gamma_below_one_trains_through_certain_predictions(self, tmp_path, capsys):
+        # well-separated classes and a large rate drive some p_t to round to 1,
+        # where (1 - p_t)^(gamma - 1) is infinite for 0 < gamma < 1
+        data = tmp_path / "data"
+        assert cli_dispatch(
+            ["gen-synth", "--class-counts", ",".join(["40"] * 8), "--separation", "3",
+             "--noise-sigma", "0.1", "--split-fractions", "0.7,0.3,0.0", "--seed", "3",
+             "--out", str(data)]
+        ) == 0
+        code = cli_dispatch(
+            ["train-stage1", "--data", str(data), "--modality", "speech", "--task", "categorical",
+             "--loss", "focal", "--focal-gamma", "0.5", "--lr", "0.3", "--epochs", "1",
+             "--seed", "1", "--out", str(tmp_path / "s.fckp")]
+        )
+        assert code == 0, capsys.readouterr().err
+
     @pytest.mark.parametrize("attn_dim", ["0", "-2"])
     def test_attn_dim_below_one_is_validation_error(self, dataset, stage1_ckpts, tmp_path, capsys,
                                                     attn_dim):

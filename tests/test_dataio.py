@@ -67,6 +67,30 @@ class TestEmbeddingsFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_embeddings(path)
 
+    def test_invalid_utf8_id_cites_the_id_offset(self, tmp_path):
+        path = tmp_path / "utf8.femb"
+        write_embeddings(path, [("a", np.ones((1, 2))), ("b", np.ones((1, 2)))])
+        data = bytearray(path.read_bytes())
+        second = 20 + 2 + 1 + 4 + 8  # header, then record "a": id length, id, frame count, data
+        data[second + 2] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=rf"record id is not valid UTF-8 \(byte offset {second + 2}\)"):
+            read_embeddings(path)
+
+    def test_zero_feature_dim_rejected_at_its_field(self, tmp_path):
+        path = tmp_path / "dim0.femb"
+        path.write_bytes(struct.pack("<4sIIQ", b"FEMB", 1, 0, 1) + struct.pack("<H", 1) + b"a"
+                         + struct.pack("<I", 3))
+        with pytest.raises(FormatError, match=r"feature dim 0 \(byte offset 8\)"):
+            read_embeddings(path)
+
+    def test_repeated_id_cites_the_repeat(self, tmp_path):
+        path = tmp_path / "dup.femb"
+        write_embeddings(path, [("a", np.ones((1, 2))), ("b", np.ones((2, 2))), ("a", np.ones((1, 2)))])
+        third = 20 + (2 + 1 + 4 + 8) + (2 + 1 + 4 + 16)
+        with pytest.raises(FormatError, match=rf"duplicate record id 'a' \(byte offset {third}\)"):
+            read_embeddings(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="expected T x 2"):
             write_embeddings(tmp_path / "x.femb", [("a", np.ones((1, 2))), ("b", np.ones((1, 3)))])
@@ -266,6 +290,16 @@ class TestCheckpointFormat:
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="offset 0"):
+            read_checkpoint(path)
+
+    def test_invalid_utf8_tensor_name_cites_its_offset(self, tmp_path):
+        path = tmp_path / "c.fckp"
+        write_checkpoint(path, {"a": np.ones(2)}, {})
+        raw = bytearray(path.read_bytes())
+        name_at = 8 + 4 + 2 + 4 + 2  # header, metadata length, "{}", tensor count, name length
+        raw[name_at] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"tensor name is not valid UTF-8 \(byte offset {name_at}\)"):
             read_checkpoint(path)
 
     def test_truncation(self, tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from serlab import losses
 from serlab import numerics as nm
 
-from helpers import check_gradients
+from helpers import (
+    check_gradients,
+    oracle_ccc_loss,
+    oracle_focal_loss,
+    oracle_weighted_cross_entropy,
+)
 
 
 def np_softmax(logits):
@@ -261,3 +266,91 @@ class TestExtremeLogits:
         # d(-log p_t)/dz = p - onehot: the far logit takes the whole mass
         assert grad[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert grad[0, 3] == pytest.approx(-0.5, rel=1e-12)
+
+
+def _value_and_grad(build, arr):
+    store = nm.ParamStore()
+    loss = build(store.add("x", arr.copy()))
+    nm.backward(loss, store)
+    return loss.data.tobytes(), store.grad("x")
+
+
+def _assert_close(grad, want, rtol=1e-12):
+    assert np.max(np.abs(grad - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestClosedFormOps:
+    """The loss ops against the graph-composed oracles in ``helpers``: values
+    bit for bit; focal and WCE gradients equal wherever the oracle's are
+    finite, CCC gradients to 1e-12 of the largest entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=2, max_value=64),
+           st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([1.0, 30.0, 1000.0]))
+    def test_focal_and_wce_match_the_graph_oracle(self, seed, batch, gamma, scale):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=scale, size=(batch, 8))
+        t = rng.integers(0, 8, size=batch)
+        cfg = losses.FocalConfig(gamma=gamma, alpha=rng.uniform(0.25, 4.0, size=8))
+        weights = losses.ClassWeights(rng.uniform(0.25, 4.0, size=8))
+        pairs = [
+            (lambda x: losses.focal_loss(x, t, cfg), lambda x: oracle_focal_loss(x, t, cfg)),
+            (lambda x: losses.weighted_cross_entropy(x, t, weights),
+             lambda x: oracle_weighted_cross_entropy(x, t, weights)),
+        ]
+        for build, oracle in pairs:
+            value, grad = _value_and_grad(build, logits)
+            with np.errstate(invalid="ignore", divide="ignore"):  # powf's backward at p_t = 1
+                want, want_grad = _value_and_grad(oracle, logits)
+            assert value == want
+            assert np.isfinite(grad).all()
+            if np.isfinite(want_grad).all():
+                assert np.array_equal(grad, want_grad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=2, max_value=64),
+           st.sampled_from([0.01, 0.5, 3.0]))
+    def test_ccc_matches_the_graph_oracle(self, seed, batch, noise):
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(1, 7, size=(batch, 3))
+        pred = truth + rng.normal(scale=noise, size=(batch, 3))
+        value, grad = _value_and_grad(lambda x: losses.ccc_loss(x, truth), pred)
+        want, want_grad = _value_and_grad(lambda x: oracle_ccc_loss(x, truth), pred)
+        assert value == want
+        _assert_close(grad, want_grad)
+
+    def test_focal_gamma_below_one_at_a_certain_target(self):
+        # row 0's p_t rounds to 1: its term and slope take their limit 0
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(2, 8))
+        logits[0, 2] = 50.0
+        targets = [2, 5]
+        cfg = losses.FocalConfig(gamma=0.5)
+        value, grad = _value_and_grad(lambda x: losses.focal_loss(x, targets, cfg), logits)
+        assert np.isfinite(grad).all()
+        assert not grad[0].any()
+        row, row_grad = _value_and_grad(lambda x: losses.focal_loss(x, targets[1:], cfg), logits[1:])
+        assert np.frombuffer(value)[0] == np.frombuffer(row)[0] / 2
+        _assert_close(grad[1], row_grad[0] / 2)
+
+    @pytest.mark.parametrize("batch", [2, 17, 64])
+    def test_each_loss_adds_six_nodes_whatever_the_batch(self, batch):
+        rng = np.random.default_rng(batch)
+        logits = nm.tensor(rng.normal(size=(batch, 8)))
+        t = rng.integers(0, 8, size=batch)
+        truth = rng.uniform(1, 7, size=(batch, 3))
+        pred = nm.tensor(truth + rng.normal(size=(batch, 3)))
+        built = [
+            (losses.focal_loss(logits, t, losses.FocalConfig()), logits),
+            (losses.weighted_cross_entropy(logits, t, losses.ClassWeights.uniform()), logits),
+            (losses.ccc_loss(pred, truth), pred),
+        ]
+        for loss, leaf in built:
+            seen, todo = {id(loss)}, [loss]
+            while todo:
+                for p in todo.pop()._parents:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        todo.append(p)
+            assert id(leaf) in seen
+            assert len(seen) - 1 == 6

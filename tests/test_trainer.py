@@ -23,7 +23,7 @@ from serlab.trainer import (
     train_stage2,
 )
 
-from helpers import oracle_encoder_forward
+from helpers import OracleAdam, oracle_encoder_forward
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,29 @@ class TestAdam:
             return store.value("w").copy()
 
         assert np.array_equal(run(), run())
+
+    def test_flat_update_equals_the_per_tensor_oracle_after_200_steps(self):
+        rng = np.random.default_rng(21)
+        init = model.init_encoder_params(model.SpeechEncoderCfg(12, 16, 16), rng)
+        stores = [nm.ParamStore(), nm.ParamStore()]
+        for store in stores:
+            for name, values in init.items():
+                store.add(name, values.copy())
+        flat, per_tensor = stores
+        state = AdamState.for_params(flat, list(init))
+        oracle = OracleAdam(per_tensor, list(init))
+        for _ in range(200):
+            grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
+                     for n, v in init.items()}
+            before = {n: (flat.value(n), flat.value(n).copy()) for n in init}
+            adam_step(flat, grads, state, lr=0.01)
+            oracle.update(per_tensor, grads, lr=0.01)
+            # rebound, never written in place: built graphs may hold the old arrays
+            assert all(old.tobytes() == copy.tobytes() for old, copy in before.values())
+        for n in init:
+            assert flat.value(n).tobytes() == per_tensor.value(n).tobytes()
+            assert state.m[n].tobytes() == oracle.m[n].tobytes()
+            assert state.v[n].tobytes() == oracle.v[n].tobytes()
 
     def test_shape_mismatch_rejected(self):
         store = self._store(np.zeros(3))
