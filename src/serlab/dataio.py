@@ -103,8 +103,15 @@ def _record(path, digest: str) -> None:
 
 def read_text(path) -> IO[str]:
     """An input text file, recorded as read, as a UTF-8 stream with its line
-    ends kept; a stream over the bytes, as a ``StringIO`` takes 4 bytes a char."""
+    ends kept; a stream over the bytes, as a ``StringIO`` takes 4 bytes a char.
+    Bytes that are not UTF-8 fail here, with the path and line."""
     data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{data[err.start]:02x} at offset "
+                         f"{err.start} is not valid UTF-8 ({err.reason})") from None
     _record(path, hashlib.sha256(data).hexdigest())
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
@@ -565,7 +572,15 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported version {version}", 4)
         (meta_len,) = r.unpack("<I", "metadata length")
-        metadata = json.loads(r.take(meta_len, "metadata", 8).decode("utf-8"))
+        meta_at = r.offset
+        raw = r.take(meta_len, "metadata", 8)
+        try:
+            metadata = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: metadata is not valid UTF-8", meta_at + err.start) from None
+        except json.JSONDecodeError as err:
+            at = meta_at + len(err.doc[:err.pos].encode("utf-8"))
+            raise FormatError(f"{path}: metadata is not JSON: {err.msg}", at) from None
         (count,) = r.unpack("<I", "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):

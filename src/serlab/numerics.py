@@ -17,6 +17,13 @@ The elementwise ops compute their backward factor (the local derivative)
 only when ``backward`` reaches them, from arrays captured at forward time.
 A pass that is never differentiated (dev evaluation, ``predict``, frozen
 encoders) computes no backward factor.
+
+The two kernels that dominate long utterances keep their full-array passes
+few.  ``mish`` calls one exponential, ``exp(min(x, 20))``, and forms
+tanh(softplus(x)) as n / (n + 2) with n = e(e + 2); the clamp is exact,
+because past it the true tanh rounds to 1.0.  ``segment_attention`` applies
+the softmax normaliser after summing over query rows, so its forward never
+divides or averages a whole weight matrix.
 """
 
 from __future__ import annotations
@@ -328,13 +335,44 @@ def softplus(x) -> Tensor:
     return _unary(x, _softplus_data(xd), lambda: _sigmoid_data(xd), "softplus")
 
 
+def _mish_parts(e: Array) -> tuple[Array, Array]:
+    """(n + 2, n / (n + 2)) for n = e(e + 2), from e = exp(min(x, 20))."""
+    n = e + 2.0
+    n *= e
+    w = n + 2.0
+    return w, np.divide(n, w, out=n)
+
+
 def mish(x) -> Tensor:
-    """Elementwise x * tanh(softplus(x))."""
+    """Elementwise x * tanh(softplus(x)), from one exponential.
+
+    With e = exp(x) and n = e(e + 2), tanh(softplus(x)) = n / (n + 2).  The
+    exponent is clamped at 20: from there on the exact tanh rounds to 1.0,
+    so the clamp changes no value and n cannot overflow.  The derivative
+    t + x(1 - t²)σ(x) is taken as t + 4x·e(e + 1)/(n + 2)², the same
+    quantity without the cancellation in 1 - t².  Past the clamp its second
+    term, under 2 ulps of 1 there, is dropped, so the derivative is exactly 1.
+    Values and derivatives are within 4 ulps of exact (of the larger term,
+    for the derivative), plus the smallest normal float where they underflow.
+    Only e is kept for ``backward``, which recomputes n from it.
+    """
     x = _coerce(x)
     xd = x.data
     _check_finite(xd, "mish")
-    t = np.tanh(_softplus_data(xd))
-    return _unary(x, xd * t, lambda: t + xd * (1.0 - t * t) * _sigmoid_data(xd), "mish")
+    e = np.minimum(xd, 20.0)
+    np.exp(e, out=e)
+
+    def local() -> Array:
+        w, t = _mish_parts(e)
+        d = e + 1.0
+        d *= e
+        d *= np.where(xd < 20.0, xd, 0.0)
+        d /= w * w
+        d *= 4.0
+        d += t
+        return d
+
+    return _unary(x, xd * _mish_parts(e)[1], local, "mish")
 
 
 def relu(x) -> Tensor:
@@ -447,9 +485,13 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
 
     q_b holds the ``q_lengths[b]`` rows of ``q`` from ``q_offsets[b]`` on;
     k_b and v_b hold the ``kv_lengths[b]`` rows of ``k`` and ``v`` from
-    ``kv_offsets[b]`` on.  No padding: each Tq x Tk weight matrix is built
-    from its own rows, with a row-max shift, and kept for ``backward`` only
-    when an input requires grad.
+    ``kv_offsets[b]`` on.  No padding: each Tq x Tk matrix of exponentials
+    is built from its own rows, with a row-max shift.  The softmax
+    normaliser is applied after the sum over query rows, as in
+    FlashAttention: with ``r = 1 / rowsum(e)``, row b is
+    ``((r e) / Tq) v_b``, so the forward never divides or averages the whole
+    matrix.  Only when an input requires grad does it normalise the matrix
+    in place and keep it, with its column means, for ``backward``.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if len(q_lengths) != len(kv_lengths) or any(t.data.ndim != 2 for t in (q, k, v)) \
@@ -464,21 +506,23 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
         for qo, qn, ko, kn in zip(q_offsets, q_lengths, kv_offsets, kv_lengths)
     ]
     keep = q.requires_grad or k.requires_grad or v.requires_grad
-    weights: list[Array] = []
+    saved: list[tuple[Array, Array]] = []  # (weights, their column means) per pair
     out = np.empty((len(spans), vd.shape[1]))
     for b, (qs, ks) in enumerate(spans):
-        w = qd[qs] @ kd[ks].T
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        out[b] = w.mean(axis=0) @ vd[ks]
+        e = qd[qs] @ kd[ks].T
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        r = 1.0 / e.sum(axis=1)
+        col_mean = (r @ e) / e.shape[0]
+        out[b] = col_mean @ vd[ks]
         if keep:
-            weights.append(w)
+            e *= r[:, None]
+            saved.append((e, col_mean))
 
     def backward_fn(g: Array) -> None:
         dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for (qs, ks), w, gb in zip(spans, weights, g):
-            dv[ks] += np.outer(w.mean(axis=0), gb)
+        for (qs, ks), (w, col_mean), gb in zip(spans, saved, g):
+            dv[ks] += np.outer(col_mean, gb)
             r = vd[ks] @ gb / w.shape[0]  # d out_b / d w_ij = v_j . g_b / Tq
             ds = w * (r - (w @ r)[:, None])
             dq[qs] += ds @ kd[ks]

@@ -219,6 +219,30 @@ class TestExitCodes:
         ) == 1
         assert str(data / "text.femb") in capsys.readouterr().err
 
+    def test_undecodable_labels_and_checkpoint_metadata_exit_1_naming_the_file(
+            self, dataset, stage1_ckpts, tmp_path, capsys):
+        data = self._data_copy(dataset, tmp_path)
+        labels = data / "labels.csv"
+        raw = labels.read_bytes()
+        line3 = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        labels.write_bytes(raw[:line3 + 1] + b"\xff" + raw[line3 + 2:])
+        preds = tmp_path / "p.csv"
+        argv = ["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(data), "--out", str(preds)]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 1
+        assert f"error: {labels}: line 3: byte 0xff at offset {line3 + 1} is not valid UTF-8" \
+            in capsys.readouterr().err
+        ckpt = tmp_path / "c.fckp"
+        ckpt.write_bytes(stage1_ckpts[0].read_bytes())
+        for byte, reason in ((0xFF, "not valid UTF-8"), (ord("x"), "not JSON: Expecting value")):
+            meta = bytearray(ckpt.read_bytes())
+            meta[12] = byte  # the first byte of the metadata
+            ckpt.write_bytes(bytes(meta))
+            assert cli_dispatch(["predict", "--ckpt", str(ckpt), "--data", str(dataset),
+                                 "--out", str(preds)]) == 1
+            assert f"error: {ckpt}: metadata is {reason} (byte offset 12)" in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
         code = cli_dispatch(
             ["train-stage1", "--data", str(dataset), "--modality", "text", "--task", "categorical",

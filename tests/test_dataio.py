@@ -187,6 +187,16 @@ class TestLabelsCsv:
             read_labels(path)
         assert str(info.value) == f"{path}: line 3: {error}"
 
+    def test_invalid_utf8_names_path_line_and_byte(self, tmp_path):
+        path = self._write(tmp_path, ["u1,train,A,,,", "u2,dev,A,,,"])
+        raw = path.read_bytes()
+        at = raw.index(b"dev")
+        path.write_bytes(raw[:at] + b"\xc3(" + raw[at + 2:])
+        with pytest.raises(ValueError) as info:
+            read_labels(path)
+        assert str(info.value) == (f"{path}: line 3: byte 0xc3 at offset {at} is not valid "
+                                   f"UTF-8 (invalid continuation byte)")
+
     def test_write_read_round_trip(self, tmp_path):
         rows = [
             LabelRow("u1", "train", "A", None),
@@ -301,6 +311,22 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=rf"tensor name is not valid UTF-8 \(byte offset {name_at}\)"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("meta,reason,at", [
+        (b'\xff"stage": 1}', "not valid UTF-8", 12),
+        (b'{"\xe9tage": 1}', "not valid UTF-8", 14),
+        (b'x"stage": 1}', "not JSON: Expecting value", 12),
+        (b'{"\xc3\xa9age": ,}', "not JSON: Expecting value", 22),  # char 21, after a 2-byte char
+    ])
+    def test_bad_metadata_names_path_and_offset(self, tmp_path, meta, reason, at):
+        path = tmp_path / "c.fckp"
+        write_checkpoint(path, {"a": np.ones(2)}, {"stage": 1})
+        raw = path.read_bytes()
+        assert raw[12:24] == b'{"stage": 1}'
+        path.write_bytes(raw[:12] + meta + raw[24:])
+        with pytest.raises(FormatError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: metadata is {reason} (byte offset {at})"
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "c.fckp"

@@ -54,6 +54,95 @@ class TestMish:
         fd = (nm.mish(scalar(h)).data[0] - nm.mish(scalar(-h)).data[0]) / (2 * h)
         assert abs(fd - 0.6) < 1e-9
 
+    def test_value_and_derivative_within_four_ulps_of_mpmath(self):
+        clamp = [np.nextafter(20.0, lo) for lo in (-np.inf, np.inf)]
+        x = np.unique(np.concatenate([
+            np.linspace(-800.0, 800.0, 1601),
+            np.linspace(-3.0, 3.0, 601),  # dense around 0 and the derivative's root
+            np.linspace(18.0, 22.0, 401),  # dense around the clamp at 20
+            np.linspace(-750.0, -700.0, 101),  # where e^x turns subnormal
+            clamp,
+        ]))
+        store = nm.ParamStore()
+        out = nm.mish(store.add("x", x))
+        nm.backward(out.sum(), store)
+        y, d = out.data, store.grad("x")
+
+        def exact(v):
+            v = mp.mpf(float(v))
+            t = mp.tanh(mp.log1p(mp.exp(v)))
+            slope = v * (1 - t * t) / (1 + mp.exp(-v))
+            return v * t, t + slope, max(abs(t), abs(slope))
+
+        ref = np.array([[float(c) for c in exact(v)] for v in x])
+        # a few ulps of the value, and of the derivative's larger term (it
+        # has a root near -1.19, where the two terms cancel); values below
+        # the smallest normal float keep only an absolute bound
+        tiny = np.finfo(np.float64).tiny
+        assert np.all(np.abs(y - ref[:, 0]) <= 4 * np.spacing(np.abs(ref[:, 0])) + tiny)
+        assert np.all(np.abs(d - ref[:, 1]) <= 4 * np.spacing(ref[:, 2]) + tiny)
+
+    def test_finite_without_warnings_at_extreme_inputs(self):
+        x = np.array([-1e300, -1e30, -800.0, -745.5, -40.0, -1.0, 0.0, 1.0,
+                      19.5, 20.0, 20.5, 800.0, 1e30, 1e300])
+        store = nm.ParamStore()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = nm.mish(store.add("x", x))
+            nm.backward(y.sum(), store)
+        d = store.grad("x")
+        assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(d))
+        assert np.array_equal(y.data[-4:], x[-4:]) and np.array_equal(d[-4:], np.ones(4))
+        assert np.array_equal(y.data[:3], np.zeros(3)) and np.array_equal(d[:3], np.zeros(3))
+
+
+def _divide_then_mean_attention(q, k, v, nq, nkv):
+    """The ``segment_attention`` forward as first written: each weight
+    matrix normalised, then averaged over its query rows."""
+    out = []
+    for qo, qn, ko, kn in zip(np.cumsum(nq) - nq, nq, np.cumsum(nkv) - nkv, nkv):
+        w = q[qo:qo + qn] @ k[ko:ko + kn].T
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        out.append(w.mean(axis=0) @ v[ko:ko + kn])
+    return np.array(out)
+
+
+def _ragged(rng, batch, max_len, score_scale):
+    nq, nkv = rng.integers(1, max_len + 1, size=batch), rng.integers(1, max_len + 1, size=batch)
+    dim, vdim = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    q = rng.normal(size=(int(nq.sum()), dim)) * score_scale
+    k = rng.normal(size=(int(nkv.sum()), dim))
+    v = rng.normal(size=(int(nkv.sum()), vdim))
+    return q, k, v, nq, nkv
+
+
+class TestSegmentAttention:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=40),
+           st.sampled_from([0.1, 1.0, 5.0, 30.0]))
+    def test_matches_divide_then_mean_formula(self, seed, batch, score_scale):
+        q, k, v, nq, nkv = _ragged(np.random.default_rng(seed), batch, 300, score_scale)
+        got = nm.segment_attention(q, k, v, np.cumsum(nq) - nq, nq, np.cumsum(nkv) - nkv, nkv).data
+        want = _divide_then_mean_attention(q, k, v, nq, nkv)
+        # row b is a convex combination of v_b's rows: relative to their largest entry
+        scale = np.array([np.abs(v[o:o + n]).max() for o, n in zip(np.cumsum(nkv) - nkv, nkv)])
+        assert np.all(np.abs(got - want) <= 1e-15 * scale[:, None])
+
+    def test_finite_without_warnings_at_scores_near_1e4(self):
+        rng = np.random.default_rng(4)
+        q, k, v, nq, nkv = _ragged(rng, 6, 40, 1.0)
+        q = np.sign(q) * 100.0  # |q_i . k_j| up to 1e4 with |k| near 100
+        k = np.clip(k * 100.0, -100.0, 100.0)
+        store = nm.ParamStore()
+        tq, tk, tv = store.add("q", q), store.add("k", k), store.add("v", v)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = nm.segment_attention(tq, tk, tv, np.cumsum(nq) - nq, nq, np.cumsum(nkv) - nkv, nkv)
+            nm.backward((out * nm.tensor(rng.normal(size=out.shape))).sum(), store)
+        assert np.abs(q @ k.T).max() > 5e3
+        assert np.all(np.isfinite(out.data))
+        assert all(np.all(np.isfinite(store.grad(n))) for n in ("q", "k", "v"))
+
 
 class TestSoftplus:
     def test_zero_is_log_two(self):
@@ -283,8 +372,11 @@ class TestGradientsAgainstFiniteDifferences:
 
 
 def _mish_factor(x):
-    t = np.tanh(nm._softplus_data(x))
-    return t + x * (1.0 - t * t) * nm._sigmoid_data(x)
+    # t + x(1 - t²)σ(x) with 1 - t² = 4(e + 1)²/w² and σ(x) = e/(e + 1)
+    e = np.exp(np.minimum(x, 20.0))
+    n = (e + 2.0) * e
+    w = n + 2.0
+    return (e + 1.0) * e * np.where(x < 20.0, x, 0.0) / (w * w) * 4.0 + n / w
 
 
 # (op, input range, backward factor written eagerly from the forward input)
@@ -335,21 +427,25 @@ class TestLazyBackwardFactors:
             stage=2, task="categorical", fusion="concat", learning_rate=0.01, epochs=1, seed=4,
             batch_size=16,
         ), ckpts["speech"], ckpts["text"], records)
-        calls = []
-        real = nm._sigmoid_data
+        built, calls = [], []
+        real = nm._unary
 
-        def counting(x):
-            calls.append(x.shape)
-            return real(x)
+        def counting(x, data, local, op):
+            def counted():
+                calls.append((op, data.shape))
+                return local()
 
-        monkeypatch.setattr(nm, "_sigmoid_data", counting)
+            built.append(op)
+            return real(x, data, counted, op)
+
+        monkeypatch.setattr(nm, "_unary", counting)
         predict(ckpts["speech"], records)
         predict(concat, records)
-        assert calls == []
+        assert "mish" in built and calls == []
         # the counter does see the factor once a backward pass needs it
         store = nm.ParamStore()
         nm.backward(nm.mish(store.add("x", np.ones(3))).sum(), store)
-        assert calls == [(3,)]
+        assert calls == [("mish", (3,))]
 
 
 @settings(max_examples=25, deadline=None)
