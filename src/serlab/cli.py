@@ -489,8 +489,22 @@ def _differing(hashes: dict[str, str]) -> list[str]:
     return [p for p, digest in hashes.items() if not Path(p).exists() or _sha256_file(p) != digest]
 
 
+def _read_manifest(path) -> dict:
+    """A manifest's JSON object, holding the ``argv`` list and the
+    ``inputs`` and ``outputs`` maps that ``replay`` reads."""
+    try:
+        doc = json.load(dataio.read_text(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: line {err.lineno}: not JSON: {err.msg}") from None
+    for key, kind, name in (("argv", list, "array"), ("inputs", dict, "object"),
+                            ("outputs", dict, "object")):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), kind):
+            raise ValueError(f"{path}: manifest needs {key!r} as a JSON {name}")
+    return doc
+
+
 def _cmd_replay(args, argv) -> int:
-    doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    doc = _read_manifest(args.manifest)
     changed = _differing(doc["inputs"])
     if changed:
         raise RuntimeError(f"replay inputs missing or changed since the manifest: {changed}")

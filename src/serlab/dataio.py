@@ -63,10 +63,10 @@ PREDICTIONS_HEADER = ["id", "emotion", "arousal", "valence", "dominance"]
 
 
 class FormatError(ValueError):
-    """Malformed binary file; carries the byte offset of the defect."""
+    """Malformed binary file; carries its path and the byte offset of the defect."""
 
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path, message: str, offset: int) -> None:
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -159,11 +159,11 @@ class _Reader:
         otherwise it cites the current offset."""
         left = self.size - self.offset
         if n > left:
-            raise FormatError(f"{what} needs {n} bytes, only {left} left",
+            raise FormatError(self.path, f"{what} needs {n} bytes, only {left} left",
                               self.offset if at is None else at)
         buf = self.f.read(n)
         if len(buf) != n:  # the file shrank since it was opened
-            raise FormatError(f"truncated file while reading {what}", self.offset)
+            raise FormatError(self.path, f"truncated file while reading {what}", self.offset)
         self.sha.update(buf)
         self.offset += n
         return buf
@@ -178,11 +178,11 @@ class _Reader:
         try:
             return self.take(n, what, at).decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"{what} is not valid UTF-8", start) from None
+            raise FormatError(self.path, f"{what} is not valid UTF-8", start) from None
 
     def finish(self, last: str) -> None:
         if self.f.read(1):
-            raise FormatError(f"trailing bytes after last {last}", self.offset)
+            raise FormatError(self.path, f"trailing bytes after last {last}", self.offset)
         _record(self.path, self.sha.hexdigest())
 
 
@@ -254,11 +254,11 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
         r = _Reader(f, path)
         magic, version, dim, count = r.unpack("<4sIIQ", "header")
         if magic != EMB_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {EMB_MAGIC!r}", 0)
+            raise FormatError(path, f"bad magic {magic!r}, expected {EMB_MAGIC!r}", 0)
         if version != EMB_VERSION:
-            raise FormatError(f"unsupported version {version}", 4)
+            raise FormatError(path, f"unsupported version {version}", 4)
         if dim == 0:
-            raise FormatError("feature dim 0", 8)
+            raise FormatError(path, "feature dim 0", 8)
         out: list[tuple[str, np.ndarray]] = []
         seen: set[str] = set()
         for _ in range(count):
@@ -266,7 +266,7 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
             (id_len,) = r.unpack("<H", "id length")
             name = r.text(id_len, "record id", at)
             if name in seen:
-                raise FormatError(f"duplicate record id {name!r}", at)
+                raise FormatError(path, f"duplicate record id {name!r}", at)
             seen.add(name)
             at = r.offset
             (frames,) = r.unpack("<I", "frame count")
@@ -568,19 +568,19 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         r = _Reader(f, path)
         magic, version = r.unpack("<4sI", "header")
         if magic != CKPT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {CKPT_MAGIC!r}", 0)
+            raise FormatError(path, f"bad magic {magic!r}, expected {CKPT_MAGIC!r}", 0)
         if version != CKPT_VERSION:
-            raise FormatError(f"unsupported version {version}", 4)
+            raise FormatError(path, f"unsupported version {version}", 4)
         (meta_len,) = r.unpack("<I", "metadata length")
         meta_at = r.offset
         raw = r.take(meta_len, "metadata", 8)
         try:
             metadata = json.loads(raw.decode("utf-8"))
         except UnicodeDecodeError as err:
-            raise FormatError(f"{path}: metadata is not valid UTF-8", meta_at + err.start) from None
+            raise FormatError(path, "metadata is not valid UTF-8", meta_at + err.start) from None
         except json.JSONDecodeError as err:
             at = meta_at + len(err.doc[:err.pos].encode("utf-8"))
-            raise FormatError(f"{path}: metadata is not JSON: {err.msg}", at) from None
+            raise FormatError(path, f"metadata is not JSON: {err.msg}", at) from None
         (count,) = r.unpack("<I", "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):

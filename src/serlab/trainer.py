@@ -111,7 +111,75 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         tensors, metadata = dataio.read_checkpoint(path)
-        return cls(tensors=tensors, metadata=metadata)
+        ckpt = cls(tensors=tensors, metadata=metadata)
+        ckpt.check(str(path))
+        return ckpt
+
+    def check(self, where: str = "checkpoint") -> None:
+        """Raise a ValueError, naming ``where`` and the metadata key or
+        tensor, unless the model builder can read this checkpoint: every
+        metadata key it reads, of the right type, and every tensor it reads,
+        in the shape the ``model.init_*`` functions give."""
+        meta = self.metadata
+        try:
+            _check_metadata(meta)
+            rng = _NoDraws()
+            expected = _fresh_params(meta, rng)
+            if meta["stage"] == 2:  # the frozen encoders, which stage 2 does not train
+                for modality, cfg in _encoder_cfgs(meta).items():
+                    for name, arr in model.init_encoder_params(cfg, rng).items():
+                        expected[f"{modality}.{name}"] = arr
+            for name, arr in expected.items():
+                got = self.tensors.get(name)
+                if got is None:
+                    raise ValueError(f"tensor {name!r} is missing")
+                if got.shape != arr.shape:
+                    raise ValueError(f"tensor {name!r} has shape {got.shape}, expected {arr.shape}")
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+
+
+class _NoDraws:
+    """The generator ``model.init_*`` take, where only the shapes of what
+    they return are read.  It draws nothing, so a process that does not
+    train never loads ``numpy.random`` (about 2 MB of resident memory)."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+
+
+def _meta_value(meta: dict, key: str, choices: tuple | None = None):
+    """``meta`` at the dotted ``key``: one of ``choices``, or without them an
+    integer >= 1."""
+    value = meta
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise ValueError(f"metadata has no {key!r}")
+        value = value[part]
+    if choices is None:
+        if type(value) is not int or value < 1:
+            raise ValueError(f"metadata {key!r} must be an integer >= 1, got {value!r}")
+    elif type(value) not in (int, str) or value not in choices:
+        raise ValueError(f"metadata {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _check_metadata(meta: dict) -> None:
+    """Every metadata key the model builder and ``predict`` read."""
+    stage = _meta_value(meta, "stage", (1, 2))
+    _meta_value(meta, "task", model.TASKS)
+    _meta_value(meta, "config.activation", model.ACTIVATIONS)
+    _meta_value(meta, "config.batch_size")
+    if stage == 1:
+        _meta_value(meta, "modality", CONCAT_ORDER)
+        encoders = ["encoder"]
+    else:
+        if _meta_value(meta, "fusion", model.FUSION_KINDS) == "cross_attention":
+            _meta_value(meta, "attn_dim")
+        encoders = ["speech_encoder", "text_encoder"]
+    for enc in encoders:
+        for dim in ("frame_dim", "hidden_dim", "out_dim"):
+            _meta_value(meta, f"{enc}.{dim}")
 
 
 class AdamState:
@@ -354,12 +422,6 @@ def _encoder_names(modality: str, cfg: model.EncoderCfg) -> list[str]:
     return [f"{modality}.{n}" for n in model.encoder_param_names(cfg)]
 
 
-def _require(params: nm.ParamStore, names: Sequence[str]) -> None:
-    for name in names:
-        if name not in params:
-            raise ValueError(f"checkpoint missing required tensor {name!r}")
-
-
 def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray | None:
     return record.speech_frames if modality == "speech" else record.text_tokens
 
@@ -427,8 +489,6 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
     are assumed to pass ``_check_inputs``.
     """
     cfgs = _encoder_cfgs(meta)
-    for modality, cfg in cfgs.items():
-        _require(params, _encoder_names(modality, cfg))
     if meta["stage"] == 1:
         (modality,) = cfgs
         return lambda records: [_modality_features(r, modality) for r in records]
@@ -500,10 +560,6 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
     """
     frozen = _frozen_part(meta, params)
     activation, fusion = meta["config"]["activation"], meta.get("fusion")  # stage 1: no fusion
-    required = ["head.fc1.W", "head.fc1.b", "head.fc2.W", "head.fc2.b"]
-    if fusion == "cross_attention":
-        required += ["fusion.q.W", "fusion.k.W", "fusion.v.W"]
-    _require(params, required)
     head_view = params.view("head.")
 
     if meta["stage"] == 1:
@@ -519,7 +575,7 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
         def head(rows: np.ndarray) -> nm.Tensor:
             return model.fusion_head_forward(activation, head_view, nm.Tensor(rows))
 
-    elif fusion == "cross_attention":
+    else:
         fuse_view = params.view("fusion.")
 
         def head(features: Sequence[tuple[np.ndarray, model.Segments]]) -> nm.Tensor:
@@ -529,8 +585,6 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
             )
             return model.fusion_head_forward(activation, head_view, fused)
 
-    else:
-        raise ValueError(f"unknown fusion kind {fusion!r}")
     return Model(frozen=frozen, head=head)
 
 
@@ -540,21 +594,40 @@ def _load_frozen_encoders(
     for modality, cfg in _encoder_cfgs(meta).items():
         tensors = sources[modality].tensors
         for name in _encoder_names(modality, cfg):
-            if name not in tensors:
-                raise ValueError(f"checkpoint missing required tensor {name!r}")
             params.add(name, tensors[name], trainable=False)
 
 
+def _fresh_params(meta: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Initial values of the parameters a run with metadata ``meta`` trains,
+    named as in its checkpoint: stage 1 its encoder and head, stage 2 its
+    fusion projections and head."""
+    cfgs = _encoder_cfgs(meta)
+    parts = []
+    if meta["stage"] == 1:
+        ((modality, cfg),) = cfgs.items()
+        parts.append((f"{modality}.", model.init_encoder_params(cfg, rng)))
+        head_in = cfg.out_dim
+    elif meta["fusion"] == "cross_attention":
+        fuse = model.init_cross_attention_params(
+            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, meta["attn_dim"], rng
+        )
+        parts.append(("fusion.", fuse))
+        head_in = meta["attn_dim"]
+    else:
+        head_in = cfgs["speech"].out_dim + cfgs["text"].out_dim
+    parts.append(("head.", model.init_head_params(head_in, model.TASK_OUT_DIMS[meta["task"]], rng)))
+    return {prefix + name: arr for prefix, arrays in parts for name, arr in arrays.items()}
+
+
 def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
+    ckpt.check(f"{modality} checkpoint")
     meta = ckpt.metadata
-    if meta.get("stage") != 1:
+    if meta["stage"] != 1:
         raise ValueError(
-            f"stage-2 {modality} source must be a stage-1 checkpoint, got stage {meta.get('stage')}"
+            f"stage-2 {modality} source must be a stage-1 checkpoint, got stage {meta['stage']}"
         )
-    if meta.get("modality") != modality:
-        raise ValueError(
-            f"expected a {modality} checkpoint, got modality {meta.get('modality')!r}"
-        )
+    if meta["modality"] != modality:
+        raise ValueError(f"expected a {modality} checkpoint, got modality {meta['modality']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +652,11 @@ def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=
             "frame_dim": first.shape[1], "hidden_dim": cfg.hidden_dim, "out_dim": cfg.out_dim,
         },
     }
-    enc_cfg = _encoder_cfgs(metadata)[modality]
     _check_inputs(metadata, train + dev)  # every record at the first one's width
 
-    rng = np.random.default_rng(cfg.seed)
     params = nm.ParamStore()
-    for name, arr in model.init_encoder_params(enc_cfg, rng).items():
-        params.add(f"{modality}.{name}", arr)
-    for name, arr in model.init_head_params(cfg.out_dim, model.TASK_OUT_DIMS[cfg.task], rng).items():
-        params.add(f"head.{name}", arr)
+    for name, arr in _fresh_params(metadata, np.random.default_rng(cfg.seed)).items():
+        params.add(name, arr)
 
     best_state, best_dev, best_epoch, history = _run_epochs(
         cfg, params, build_model(metadata, params), train, dev, log_path
@@ -631,23 +700,12 @@ def train_stage2(
         "concat_order": list(CONCAT_ORDER),
         "sources": {"speech": speech_ckpt.content_id, "text": text_ckpt.content_id},
     }
-    cfgs = _encoder_cfgs(metadata)
     _check_inputs(metadata, train + dev)
 
     params = nm.ParamStore()
     _load_frozen_encoders(params, metadata, {"speech": speech_ckpt, "text": text_ckpt})
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.fusion == "cross_attention":
-        fuse_init = model.init_cross_attention_params(
-            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, cfg.attn_dim, rng
-        )
-        for name, arr in fuse_init.items():
-            params.add(f"fusion.{name}", arr)
-        head_in = cfg.attn_dim
-    else:
-        head_in = cfgs["speech"].out_dim + cfgs["text"].out_dim
-    for name, arr in model.init_head_params(head_in, model.TASK_OUT_DIMS[cfg.task], rng).items():
-        params.add(f"head.{name}", arr)
+    for name, arr in _fresh_params(metadata, np.random.default_rng(cfg.seed)).items():
+        params.add(name, arr)
 
     net = build_model(metadata, params)
     if cfg.fusion == "concat":
@@ -671,6 +729,7 @@ def predict(
 
     Records are scored in chunks of the checkpoint's training batch size.
     """
+    ckpt.check()
     params = nm.ParamStore()
     for name, arr in ckpt.tensors.items():
         params.add(name, arr, trainable=False)

@@ -74,9 +74,12 @@ def check_gradients(
 
 
 def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
-    """Attentive statistics pooling of one sequence through a plain softmax:
-    the per-utterance form the packed pooling must reproduce."""
-    alpha = nm.softmax(nm.tanh(H @ W + b) @ v + k, axis=0)
+    """Attentive statistics pooling of one sequence, its softmax the
+    exponentials of the max-shifted scores over their sum: the per-utterance
+    form the packed pooling must reproduce."""
+    scores = nm.tanh(H @ W + b) @ v + k
+    e = nm.exp(scores - nm.Tensor(scores.data.max()))
+    alpha = e / e.sum()
     mu = alpha @ H
     m2 = alpha @ nm.square(H)
     sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + model.VAR_EPS)
@@ -94,19 +97,24 @@ def oracle_encoder_forward(cfg, p, frames) -> nm.Tensor:
 
 
 def oracle_encode_batch(cfg, p, seqs) -> nm.Tensor:
-    """B x out embeddings of a batch, utterance by utterance."""
-    return nm.stack_rows([oracle_encoder_forward(cfg, p, s) for s in seqs])
+    """The B x out embeddings of a batch, utterance by utterance, flattened
+    row after row into one vector."""
+    return nm.concat([oracle_encoder_forward(cfg, p, s) for s in seqs])
 
 
 def oracle_cross_attention(Hs, Ht, p) -> nm.Tensor:
-    """Cross-attention of one utterance through a full softmax node: the
-    per-utterance form the packed head must reproduce."""
-    attn_dim = p["q.W"].shape[1]
-    q = Ht @ (p["q.W"] / math.sqrt(attn_dim))
-    k = Hs @ p["k.W"]
-    v = Hs @ p["v.W"]
-    weights = nm.softmax(q @ k.T, axis=1)
-    return (weights @ v).mean(axis=0)
+    """Cross-attention of one utterance with constant speech frames ``Hs``
+    and text frames ``Ht``, one query row at a time: the per-utterance form
+    the packed head must reproduce."""
+    q_W = p["q.W"] / math.sqrt(p["q.W"].shape[1])
+    k = nm.tensor(Hs) @ p["k.W"]
+    v = nm.tensor(Hs) @ p["v.W"]
+    rows = []
+    for h in Ht:
+        scores = k @ (nm.tensor(h) @ q_W)
+        e = nm.exp(scores - nm.Tensor(scores.data.max()))
+        rows.append((e / e.sum()) @ v)
+    return sum(rows[1:], rows[0]) / float(len(rows))
 
 
 def _oracle_target_log_probs(logits: nm.Tensor, targets: np.ndarray) -> nm.Tensor:

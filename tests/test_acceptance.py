@@ -52,7 +52,7 @@ def _check_op_groups(rng):
     a = rng.uniform(-1.5, 1.5, size=5)
     b = rng.uniform(-1.5, 1.5, size=5)
     check_gradients(
-        lambda s: (nm.mish(s["a"]) * nm.sigmoid(s["b"]) + nm.tanh(s["a"]) - nm.softplus(s["b"])).sum(),
+        lambda s: (nm.mish(s["a"]) * nm.tanh(s["b"]) + nm.tanh(s["a"]) - nm.square(s["b"])).sum(),
         {"a": a.copy(), "b": b.copy()},
     )
     c = rng.uniform(0.4, 2.0, size=5)
@@ -67,12 +67,12 @@ def _check_op_groups(rng):
     p = rng.uniform(-1, 1, size=2)
     q = rng.uniform(-1, 1, size=1)
     w = rng.uniform(-1, 1, size=3)
-    check_gradients(
-        lambda s: (nm.softmax(nm.stack_rows([s["u"] @ s["m"], nm.concat([s["p"], s["q"]])]), axis=1)
-                   * nm.tensor(np.stack([w, w]))).sum()
-        + nm.transpose(s["m"]).mean(),
-        {"m": m.copy(), "u": u.copy(), "p": p.copy(), "q": q.copy()},
-    )
+
+    def normalised_exp(s):
+        e = nm.exp(nm.concat([s["u"] @ s["m"], nm.concat([s["p"], s["q"]])]))
+        return (e / e.sum() * nm.tensor(np.concatenate([w, w]))).sum() + s["m"].mean(axis=0).sum()
+
+    check_gradients(normalised_exp, {"m": m.copy(), "u": u.copy(), "p": p.copy(), "q": q.copy()})
     logits = rng.normal(size=(3, 8))
     targets = rng.integers(0, 8, size=3)
     for gamma in (0.0, 0.5, 2.0):
@@ -161,6 +161,39 @@ def test_criterion_01_gradient_suite_20_seeds_under_30s():
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
     print(f"[criterion 1] PASS - gradient suite, 20 seeds, rel err < 1e-6, {elapsed:.1f}s")
+
+
+def test_criterion_01_checks_every_op(monkeypatch):
+    """Every op ``numerics`` exports runs inside criterion 1's
+    ``check_gradients`` calls, ``matmul`` at all four rank pairs, and the
+    module docstring lists each op."""
+    ops = [name for name in nm.__all__ if name not in ("Tensor", "ParamStore", "tensor", "backward")]
+    checked: dict[str, set] = {name: set() for name in ops}
+    inside, real_check = [], check_gradients
+
+    def counted(name, fn):
+        def op(*args, **kwargs):
+            if inside:
+                checked[name].add(tuple(np.ndim(getattr(a, "data", a)) for a in args[:2]))
+            return fn(*args, **kwargs)
+        return op
+
+    def checking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for name in ops:
+        monkeypatch.setattr(nm, name, counted(name, getattr(nm, name)))
+    monkeypatch.setitem(globals(), "check_gradients", checking)
+    rng = np.random.default_rng(1000)
+    _check_op_groups(rng)
+    _check_composites(rng)
+    assert [name for name in ops if not checked[name]] == []
+    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= checked["matmul"]
+    assert [name for name in ops if f"``{name}``" not in nm.__doc__] == []
 
 
 # ---------------------------------------------------------------------------

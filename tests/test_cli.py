@@ -74,6 +74,22 @@ class TestGenSynth:
         ) == 1
 
 
+# (tensors, metadata) -> None edits of a stage-1 speech checkpoint, and the error each gives
+CHECKPOINT_DEFECTS = {
+    "no stage": (lambda t, m: m.pop("stage"), "metadata has no 'stage'"),
+    "no batch_size": (lambda t, m: m["config"].pop("batch_size"),
+                      "metadata has no 'config.batch_size'"),
+    "batch_size 0": (lambda t, m: m["config"].update(batch_size=0),
+                     "metadata 'config.batch_size' must be an integer >= 1, got 0"),
+    "batch_size '8'": (lambda t, m: m["config"].update(batch_size="8"),
+                       "metadata 'config.batch_size' must be an integer >= 1, got '8'"),
+    "head.fc1.b cut": (lambda t, m: t.update({"head.fc1.b": t["head.fc1.b"][:5]}),
+                       "tensor 'head.fc1.b' has shape (5,), expected (16,)"),
+    "speech.frame.W cut": (lambda t, m: t.update({"speech.frame.W": t["speech.frame.W"][:, :3]}),
+                           "tensor 'speech.frame.W' has shape (12, 3), expected (12, 16)"),
+}
+
+
 class TestExitCodes:
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert cli_dispatch(["gen-synth", "--wat", "1", "--out", str(tmp_path / "x")]) == 1
@@ -202,7 +218,8 @@ class TestExitCodes:
              "--seed", "7", "--speech-ckpt", str(stage1_ckpts[0]), "--text-ckpt", str(text_ckpt),
              "--out", str(tmp_path / "s2.fckp")]
         ) == 1
-        assert "error: trailing bytes after last record (byte offset" in capsys.readouterr().err
+        assert f"error: {speech}: trailing bytes after last record (byte offset" \
+            in capsys.readouterr().err
         assert not (tmp_path / "s2.fckp").exists()
 
     def test_predict_names_the_missing_features_its_model_needs(self, dataset, stage1_ckpts,
@@ -242,6 +259,49 @@ class TestExitCodes:
                                  "--out", str(preds)]) == 1
             assert f"error: {ckpt}: metadata is {reason} (byte offset 12)" in capsys.readouterr().err
         assert not preds.exists()
+
+    def test_binary_format_errors_name_the_file(self, dataset, stage1_ckpts, tmp_path, capsys):
+        data = self._data_copy(dataset, tmp_path)
+        speech, ckpt, preds = data / "speech.femb", tmp_path / "c.fckp", tmp_path / "p.csv"
+        speech.write_bytes(speech.read_bytes() + b"\0")
+        ckpt.write_bytes(stage1_ckpts[0].read_bytes() + b"\0")
+        argv = ["predict", "--data", str(data), "--out", str(preds), "--ckpt"]
+        capsys.readouterr()
+        assert cli_dispatch(argv + [str(stage1_ckpts[0])]) == 1
+        assert f"error: {speech}: trailing bytes after last record (byte offset" \
+            in capsys.readouterr().err
+        assert cli_dispatch(argv + [str(ckpt)]) == 1
+        assert f"error: {ckpt}: trailing bytes after last tensor (byte offset" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", list(CHECKPOINT_DEFECTS))
+    def test_malformed_checkpoint_exits_1_naming_the_key(self, dataset, stage1_ckpts, tmp_path,
+                                                          capsys, defect):
+        mutate, message = CHECKPOINT_DEFECTS[defect]
+        tensors, meta = dataio.read_checkpoint(stage1_ckpts[0])
+        mutate(tensors, meta)
+        ckpt, preds = tmp_path / "c.fckp", tmp_path / "p.csv"
+        dataio.write_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert cli_dispatch(
+            ["predict", "--ckpt", str(ckpt), "--data", str(dataset), "--out", str(preds)]
+        ) == 1
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff{}", "line 1: byte 0xff at offset 0 is not valid UTF-8"),
+        (b'{"argv": ["predict', "line 1: not JSON: Unterminated string"),
+        (b"{}", "manifest needs 'argv' as a JSON array"),
+        (b'{"argv": [], "inputs": {}}', "manifest needs 'outputs' as a JSON object"),
+    ], ids=["invalid UTF-8", "truncated", "no keys", "no outputs"])
+    def test_malformed_replay_manifest_exits_1_naming_the_file(self, tmp_path, capsys, content,
+                                                               message):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(content)
+        capsys.readouterr()
+        assert cli_dispatch(["replay", "--manifest", str(manifest)]) == 1
+        assert f"error: {manifest}: {message}" in capsys.readouterr().err
 
     def test_training_failure_is_runtime_failure(self, dataset, tmp_path, capsys):
         code = cli_dispatch(

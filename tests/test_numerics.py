@@ -1,5 +1,3 @@
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -144,40 +142,6 @@ class TestSegmentAttention:
         assert all(np.all(np.isfinite(store.grad(n))) for n in ("q", "k", "v"))
 
 
-class TestSoftplus:
-    def test_zero_is_log_two(self):
-        assert abs(nm.softplus(scalar(0.0)).data[0] - math.log(2.0)) < 1e-15
-
-    def test_positive_saturation(self):
-        assert abs(nm.softplus(scalar(100.0)).data[0] - 100.0) < 1e-9
-
-    def test_negative_saturation(self):
-        assert abs(nm.softplus(scalar(-100.0)).data[0]) < 1e-9
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        out = nm.softmax(nm.tensor([0.0, 0.0, 0.0]), axis=0).data
-        assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
-
-    def test_dominant_entry_is_stable(self):
-        out = nm.softmax(nm.tensor([1000.0, 0.0, 0.0]), axis=0).data
-        assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-9)
-
-    def test_exponential_of_logs(self):
-        out = nm.softmax(nm.tensor(np.log([1.0, 2.0, 3.0])), axis=0).data
-        assert np.allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-15)
-
-    @given(st.lists(st.floats(min_value=-300, max_value=300), min_size=1, max_size=12))
-    def test_sums_to_one(self, values):
-        out = nm.softmax(nm.tensor(values), axis=0).data
-        assert abs(out.sum() - 1.0) < 1e-12
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError, match="softmax"):
-            nm.softmax(nm.tensor([1.0, 2.0]), axis=2)
-
-
 class TestBackward:
     def test_sum_of_parameter_gives_ones(self):
         store = nm.ParamStore()
@@ -287,7 +251,6 @@ class TestGradientsAgainstFiniteDifferences:
         check_gradients(lambda s: (s["v"] @ s["n"]).sum(), {"v": v.copy(), "n": n.copy()})
         check_gradients(lambda s: (s["m"] @ s["v"]).sum(), {"m": m.copy(), "v": v.copy()})
         check_gradients(lambda s: s["v"] @ s["v2"], {"v": v.copy(), "v2": (v + 1).copy()})
-        check_gradients(lambda s: nm.transpose(s["m"]).sum(axis=1).mean(), {"m": m.copy()})
 
     @pytest.mark.parametrize(
         "op,lo,hi",
@@ -295,8 +258,6 @@ class TestGradientsAgainstFiniteDifferences:
             (nm.tanh, -2.0, 2.0),
             (nm.exp, -2.0, 2.0),
             (nm.log, 0.2, 3.0),
-            (nm.sigmoid, -3.0, 3.0),
-            (nm.softplus, -3.0, 3.0),
             (nm.mish, -3.0, 3.0),
             (nm.square, -2.0, 2.0),
             (nm.sqrt, 0.3, 3.0),
@@ -320,11 +281,6 @@ class TestGradientsAgainstFiniteDifferences:
     def test_softmax_and_reductions(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, size=(3, 5))
-        w = rng.uniform(-1, 1, size=5)
-        check_gradients(
-            lambda s: (nm.softmax(s["x"], axis=1) * nm.tensor(w)).sum(),
-            {"x": x.copy()},
-        )
         check_gradients(lambda s: s["x"].mean(axis=0).sum(), {"x": x.copy()})
         check_gradients(lambda s: s["x"].sum(axis=1).mean(), {"x": x.copy()})
 
@@ -335,10 +291,6 @@ class TestGradientsAgainstFiniteDifferences:
         check_gradients(
             lambda s: nm.mish(nm.concat([s["a"], s["b"]])).sum(),
             {"a": a.copy(), "b": b.copy()},
-        )
-        check_gradients(
-            lambda s: nm.stack_rows([s["a"], nm.tanh(s["a"])]).mean(),
-            {"a": a.copy()},
         )
 
     def test_segment_attention_ragged(self):
@@ -384,8 +336,6 @@ EAGER_FACTORS = [
     (nm.tanh, -2.0, 2.0, lambda x: 1.0 - np.tanh(x) * np.tanh(x)),
     (nm.exp, -2.0, 2.0, np.exp),
     (nm.log, 0.2, 3.0, lambda x: 1.0 / x),
-    (nm.sigmoid, -3.0, 3.0, lambda x: nm._sigmoid_data(x) * (1.0 - nm._sigmoid_data(x))),
-    (nm.softplus, -3.0, 3.0, nm._sigmoid_data),
     (nm.mish, -3.0, 3.0, _mish_factor),
     (nm.relu, -2.0, 2.0, lambda x: (x > 0.0).astype(np.float64)),
     (nm.square, -2.0, 2.0, lambda x: 2.0 * x),
@@ -446,12 +396,3 @@ class TestLazyBackwardFactors:
         store = nm.ParamStore()
         nm.backward(nm.mish(store.add("x", np.ones(3))).sum(), store)
         assert calls == [("mish", (3,))]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_softmax_rows_sum_to_one_random_matrices(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-50, 50, size=(4, 6))
-    out = nm.softmax(nm.tensor(x), axis=1).data
-    assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)

@@ -49,9 +49,11 @@ def test_packed_encoder_matches_per_utterance_oracle(modality, case):
     packed, packed_grads = _grads(
         arrays, weights, lambda p: model.encoder_forward(cfg, p, frames, segments)
     )
-    oracle, oracle_grads = _grads(arrays, weights, lambda p: oracle_encode_batch(cfg, p, seqs))
+    oracle, oracle_grads = _grads(
+        arrays, weights.ravel(), lambda p: oracle_encode_batch(cfg, p, seqs)
+    )
     assert packed.shape == (len(seqs), 6)
-    assert np.max(np.abs(packed - oracle)) <= 1e-12
+    assert np.max(np.abs(packed.ravel() - oracle)) <= 1e-12
     for name in arrays:
         assert np.max(np.abs(packed_grads[name] - oracle_grads[name])) <= 1e-12, name
 
@@ -87,16 +89,17 @@ def test_packed_cross_attention_matches_per_utterance_oracle(case):
         return model.fusion_head_forward("mish", _under(p, "head."), fused)
 
     def oracle_head(p):
-        fused = nm.stack_rows([
-            oracle_cross_attention(nm.tensor(s), nm.tensor(t), _under(p, "fusion."))
+        return nm.concat([
+            model.fusion_head_forward(
+                "mish", _under(p, "head."), oracle_cross_attention(s, t, _under(p, "fusion."))
+            )
             for s, t in zip(hs, ht)
         ])
-        return model.fusion_head_forward("mish", _under(p, "head."), fused)
 
     packed, packed_grads = _grads(arrays, weights, packed_head)
-    oracle, oracle_grads = _grads(arrays, weights, oracle_head)
+    oracle, oracle_grads = _grads(arrays, weights.ravel(), oracle_head)
     assert packed.shape == (len(hs), 8)
-    assert np.max(np.abs(packed - oracle)) <= 1e-12
+    assert np.max(np.abs(packed.ravel() - oracle)) <= 1e-12
     for name in arrays:
         assert np.max(np.abs(packed_grads[name] - oracle_grads[name])) <= 1e-12, name
 
