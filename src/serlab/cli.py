@@ -237,7 +237,7 @@ def _cmd_gen_synth(args, argv) -> int:
 
 def _cmd_train(args, argv) -> int:
     cfg = TrainConfig(**_given_fields(TrainConfig, args))
-    records = _load_records(args.data, (cfg.modality,) if cfg.stage == 1 else trainer.CONCAT_ORDER)
+    records = _load_records(args.data, (cfg.modality,) if cfg.stage == 1 else model.MODALITIES)
     if cfg.stage == 1:
         ckpt = trainer.train_stage1(cfg, records, log_path=args.log)
     else:
@@ -445,7 +445,7 @@ def _table1_row(job) -> str:
 
 
 def _cmd_sweep_table1(args, argv) -> int:
-    opts = _sweep_data(args, trainer.CONCAT_ORDER)
+    opts = _sweep_data(args, model.MODALITIES)
     opts.update({
         "seed": args.seed,
         "speech_ckpt": Checkpoint.load(args.speech_ckpt),
@@ -577,7 +577,7 @@ def build_parser() -> _Parser:
     # the train flags' dests and the stage default are trainer.TrainConfig field names
     p = sub.add_parser("train-stage1", help="train one modality encoder + head")
     _add_common_train_flags(p)
-    p.add_argument("--modality", required=True, choices=trainer.CONCAT_ORDER)
+    p.add_argument("--modality", required=True, choices=model.MODALITIES)
     p.add_argument("--hidden-dim", type=int, default=16)
     p.add_argument("--out-dim", type=int, default=16)
     p.set_defaults(func=_cmd_train, stage=1)
@@ -680,7 +680,7 @@ def build_parser() -> _Parser:
 
     t2 = ssub.add_parser("table2", help="balancing-scheme grid")
     _add_sweep_flags(t2)
-    t2.add_argument("--modality", default="speech", choices=trainer.CONCAT_ORDER)
+    t2.add_argument("--modality", default="speech", choices=model.MODALITIES)
     t2.add_argument("--focal-gamma", type=float, default=2.0)
     t2.set_defaults(func=_cmd_sweep_table2)
 

@@ -27,44 +27,38 @@ VAR_EPS = 1e-9
 FUSION_KINDS = ("concat", "cross_attention")
 ACTIVATIONS = ("mish", "relu")
 TASKS = ("categorical", "attributes")
+MODALITIES = ("speech", "text")
 
 TASK_OUT_DIMS = {"categorical": 8, "attributes": 3}
 
 
 @dataclass(frozen=True)
-class SpeechEncoderCfg:
+class EncoderCfg:
+    """A modality's encoder: ``frame_dim``-wide input frames (token
+    embeddings for text), a ``hidden_dim`` frame layer and an ``out_dim``
+    embedding."""
+
+    modality: str
     frame_dim: int
     hidden_dim: int
     out_dim: int
 
     def __post_init__(self) -> None:
+        if self.modality not in MODALITIES:
+            raise ValueError(f"unknown modality {self.modality!r}")
         for field in ("frame_dim", "hidden_dim", "out_dim"):
             if getattr(self, field) < 1:
-                raise ValueError(f"SpeechEncoderCfg.{field} must be >= 1")
+                raise ValueError(f"EncoderCfg.{field} must be >= 1")
+
+    @property
+    def attentive(self) -> bool:
+        """Speech pools by attentive statistics, text by the mean."""
+        return self.modality == "speech"
 
     @property
     def pooled_dim(self) -> int:
         # attentive statistics pooling concatenates mean and std
-        return 2 * self.hidden_dim
-
-
-@dataclass(frozen=True)
-class TextEncoderCfg:
-    token_dim: int
-    hidden_dim: int
-    out_dim: int
-
-    def __post_init__(self) -> None:
-        for field in ("token_dim", "hidden_dim", "out_dim"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"TextEncoderCfg.{field} must be >= 1")
-
-    @property
-    def pooled_dim(self) -> int:
-        return self.hidden_dim
-
-
-EncoderCfg = SpeechEncoderCfg | TextEncoderCfg
+        return 2 * self.hidden_dim if self.attentive else self.hidden_dim
 
 
 # ---------------------------------------------------------------------------
@@ -160,48 +154,42 @@ def mean_pool(H: Tensor, segments: Segments) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# parameters: one ordered name -> shape table per model part
 
-def _affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
-    bound = 1.0 / math.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    return w, np.zeros(fan_out)
+Shapes = dict[str, tuple[int, ...]]
 
 
-def init_encoder_params(cfg: EncoderCfg, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fresh encoder parameters, keyed without a modality prefix."""
-    in_dim = cfg.frame_dim if isinstance(cfg, SpeechEncoderCfg) else cfg.token_dim
+def encoder_shapes(cfg: EncoderCfg) -> Shapes:
+    """An encoder's parameters, keyed without a modality prefix."""
+    h = cfg.hidden_dim
+    shapes = {"frame.W": (cfg.frame_dim, h), "frame.b": (h,)}
+    if cfg.attentive:
+        shapes.update({"att.W": (h, h), "att.b": (h,), "att.v": (h,), "att.k": (1,)})
+    shapes.update({"proj.W": (cfg.pooled_dim, cfg.out_dim), "proj.b": (cfg.out_dim,)})
+    return shapes
+
+
+def head_shapes(in_dim: int, out_dim: int) -> Shapes:
+    return {"fc1.W": (in_dim, in_dim), "fc1.b": (in_dim,),
+            "fc2.W": (in_dim, out_dim), "fc2.b": (out_dim,)}
+
+
+def cross_attention_shapes(speech_dim: int, text_dim: int, attn_dim: int) -> Shapes:
+    return {"q.W": (text_dim, attn_dim),
+            "k.W": (speech_dim, attn_dim), "v.W": (speech_dim, attn_dim)}
+
+
+def init_params(shapes: Shapes, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh values for ``shapes``, drawn in its order: biases (``.b``) and
+    the attention score offset ``att.k`` are zeros, every other tensor
+    U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in its first dim."""
     params: dict[str, np.ndarray] = {}
-    params["frame.W"], params["frame.b"] = _affine(rng, in_dim, cfg.hidden_dim)
-    if isinstance(cfg, SpeechEncoderCfg):
-        params["att.W"], params["att.b"] = _affine(rng, cfg.hidden_dim, cfg.hidden_dim)
-        bound = 1.0 / math.sqrt(cfg.hidden_dim)
-        params["att.v"] = rng.uniform(-bound, bound, size=cfg.hidden_dim)
-        params["att.k"] = np.zeros(1)
-    params["proj.W"], params["proj.b"] = _affine(rng, cfg.pooled_dim, cfg.out_dim)
-    return params
-
-
-def encoder_param_names(cfg: EncoderCfg) -> tuple[str, ...]:
-    """The keys of ``init_encoder_params``, in order, without drawing values."""
-    attention = ("att.W", "att.b", "att.v", "att.k") if isinstance(cfg, SpeechEncoderCfg) else ()
-    return ("frame.W", "frame.b", *attention, "proj.W", "proj.b")
-
-
-def init_head_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    params["fc1.W"], params["fc1.b"] = _affine(rng, in_dim, in_dim)
-    params["fc2.W"], params["fc2.b"] = _affine(rng, in_dim, out_dim)
-    return params
-
-
-def init_cross_attention_params(
-    speech_dim: int, text_dim: int, attn_dim: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    params["q.W"], _ = _affine(rng, text_dim, attn_dim)
-    params["k.W"], _ = _affine(rng, speech_dim, attn_dim)
-    params["v.W"], _ = _affine(rng, speech_dim, attn_dim)
+    for name, shape in shapes.items():
+        if name.endswith((".b", "att.k")):
+            params[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / math.sqrt(shape[0])
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
 
@@ -212,10 +200,9 @@ def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
     """Per-frame affine+Mish features (T x hidden, or sum T x hidden for a
     packed batch), before any pooling."""
     x = frames if isinstance(frames, Tensor) else nm.tensor(frames)
-    in_dim = cfg.frame_dim if isinstance(cfg, SpeechEncoderCfg) else cfg.token_dim
-    if x.data.ndim != 2 or x.shape[1] != in_dim:
+    if x.data.ndim != 2 or x.shape[1] != cfg.frame_dim:
         raise ValueError(
-            f"encoder_forward: expected T x {in_dim} features, got shape {x.shape}"
+            f"encoder_forward: expected T x {cfg.frame_dim} features, got shape {x.shape}"
         )
     return nm.mish(x @ p["frame.W"] + p["frame.b"])
 
@@ -226,7 +213,7 @@ def encoder_forward(
     """B x out fixed-size embeddings for the packed frames of a batch of
     variable-length sequences laid out by ``segments``."""
     h = frame_hidden(cfg, p, frames)
-    if isinstance(cfg, SpeechEncoderCfg):
+    if cfg.attentive:
         pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"], segments)
     else:
         pooled = mean_pool(h, segments)

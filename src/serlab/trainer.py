@@ -35,8 +35,6 @@ CATEGORICAL_LOSSES = ("wce", "focal")
 ATTRIBUTE_LOSSES = ("ccc_loss", "mse")
 SAMPLERS = ("shuffled", "balanced")
 
-CONCAT_ORDER = ("speech", "text")
-
 
 @dataclass
 class TrainConfig:
@@ -61,7 +59,7 @@ class TrainConfig:
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
         if self.task not in model.TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.stage == 1 and self.modality not in ("speech", "text"):
+        if self.stage == 1 and self.modality not in model.MODALITIES:
             raise ValueError(f"stage 1 needs modality 'speech' or 'text', got {self.modality!r}")
         if self.fusion not in model.FUSION_KINDS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
@@ -119,33 +117,22 @@ class Checkpoint:
         """Raise a ValueError, naming ``where`` and the metadata key or
         tensor, unless the model builder can read this checkpoint: every
         metadata key it reads, of the right type, and every tensor it reads,
-        in the shape the ``model.init_*`` functions give."""
-        meta = self.metadata
+        finite and in the shape ``_param_shapes`` gives."""
         try:
-            _check_metadata(meta)
-            rng = _NoDraws()
-            expected = _fresh_params(meta, rng)
-            if meta["stage"] == 2:  # the frozen encoders, which stage 2 does not train
-                for modality, cfg in _encoder_cfgs(meta).items():
-                    for name, arr in model.init_encoder_params(cfg, rng).items():
-                        expected[f"{modality}.{name}"] = arr
-            for name, arr in expected.items():
+            _check_metadata(self.metadata)
+            for name, shape in _param_shapes(self.metadata).items():
                 got = self.tensors.get(name)
                 if got is None:
                     raise ValueError(f"tensor {name!r} is missing")
-                if got.shape != arr.shape:
-                    raise ValueError(f"tensor {name!r} has shape {got.shape}, expected {arr.shape}")
+                if got.shape != shape:
+                    raise ValueError(f"tensor {name!r} has shape {got.shape}, expected {shape}")
+                finite = np.isfinite(got).ravel()
+                if not finite.all():
+                    raise ValueError(
+                        f"tensor {name!r} is not finite at flat index {int(np.argmin(finite))}"
+                    )
         except ValueError as err:
             raise ValueError(f"{where}: {err}") from None
-
-
-class _NoDraws:
-    """The generator ``model.init_*`` take, where only the shapes of what
-    they return are read.  It draws nothing, so a process that does not
-    train never loads ``numpy.random`` (about 2 MB of resident memory)."""
-
-    def uniform(self, low, high, size):
-        return np.empty(size)
 
 
 def _meta_value(meta: dict, key: str, choices: tuple | None = None):
@@ -171,12 +158,12 @@ def _check_metadata(meta: dict) -> None:
     _meta_value(meta, "config.activation", model.ACTIVATIONS)
     _meta_value(meta, "config.batch_size")
     if stage == 1:
-        _meta_value(meta, "modality", CONCAT_ORDER)
+        _meta_value(meta, "modality", model.MODALITIES)
         encoders = ["encoder"]
     else:
         if _meta_value(meta, "fusion", model.FUSION_KINDS) == "cross_attention":
             _meta_value(meta, "attn_dim")
-        encoders = ["speech_encoder", "text_encoder"]
+        encoders = [f"{m}_encoder" for m in model.MODALITIES]
     for enc in encoders:
         for dim in ("frame_dim", "hidden_dim", "out_dim"):
             _meta_value(meta, f"{enc}.{dim}")
@@ -398,28 +385,18 @@ def _run_epochs(
 # ---------------------------------------------------------------------------
 # the model builder
 
-ENCODER_PREFIXES = ("speech.", "text.")
-
-
 def _encoder_cfgs(meta: dict) -> dict[str, model.EncoderCfg]:
-    """Encoder configs by modality, from stage-1 or stage-2 metadata.
-
-    Both modalities store their input width under ``"frame_dim"``; for text
-    it is the token dim.
-    """
+    """Encoder configs by modality, from stage-1 or stage-2 metadata."""
     if meta["stage"] == 1:
         encoders = {meta["modality"]: meta["encoder"]}
     else:
-        encoders = {"speech": meta["speech_encoder"], "text": meta["text_encoder"]}
-    cfgs: dict[str, model.EncoderCfg] = {}
-    for modality, enc in encoders.items():
-        cls = model.SpeechEncoderCfg if modality == "speech" else model.TextEncoderCfg
-        cfgs[modality] = cls(enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
-    return cfgs
+        encoders = {m: meta[f"{m}_encoder"] for m in model.MODALITIES}
+    return {m: model.EncoderCfg(m, enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
+            for m, enc in encoders.items()}
 
 
-def _encoder_names(modality: str, cfg: model.EncoderCfg) -> list[str]:
-    return [f"{modality}.{n}" for n in model.encoder_param_names(cfg)]
+def _is_encoder(name: str) -> bool:
+    return name.partition(".")[0] in model.MODALITIES
 
 
 def _modality_features(record: UtteranceRecord, modality: str) -> np.ndarray | None:
@@ -440,12 +417,8 @@ def _check_inputs(meta: dict, records: Sequence[UtteranceRecord]) -> None:
     """
     cfgs = _encoder_cfgs(meta)
     for modality, cfg in cfgs.items():
-        if not _readable([_modality_features(r, modality) for r in records], _width(modality, cfg)):
+        if not _readable([_modality_features(r, modality) for r in records], cfg.frame_dim):
             _check_each(cfgs, records)
-
-
-def _width(modality: str, cfg: model.EncoderCfg) -> int:
-    return cfg.frame_dim if modality == "speech" else cfg.token_dim
 
 
 def _readable(feats: Sequence[np.ndarray | None], width: int) -> bool:
@@ -469,10 +442,10 @@ def _check_each(cfgs: Mapping[str, model.EncoderCfg], records: Sequence[Utteranc
                 if len(cfgs) == 2:
                     raise ValueError(f"record {r.id!r}: dual-modality model needs both feature sets")
                 raise ValueError(f"record {r.id!r}: missing {modality} features")
-            width = _width(modality, cfg)
-            if feats.shape[1] != width:
+            if feats.shape[1] != cfg.frame_dim:
                 raise ValueError(
-                    f"record {r.id!r}: expected T x {width} {modality} features, got {feats.shape}"
+                    f"record {r.id!r}: expected T x {cfg.frame_dim} {modality} features, "
+                    f"got {feats.shape}"
                 )
             if not np.isfinite(feats).all():
                 raise ValueError(f"record {r.id!r}: non-finite {modality} features")
@@ -492,12 +465,12 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
     if meta["stage"] == 1:
         (modality,) = cfgs
         return lambda records: [_modality_features(r, modality) for r in records]
-    views = {modality: params.view(f"{modality}.") for modality in CONCAT_ORDER}
+    views = {modality: params.view(f"{modality}.") for modality in model.MODALITIES}
     if meta["fusion"] == "concat":
 
         def frozen(records: Sequence[UtteranceRecord]) -> np.ndarray:
             parts = []
-            for modality in CONCAT_ORDER:
+            for modality in model.MODALITIES:
                 frames, segments = model.pack([_modality_features(r, modality) for r in records])
                 parts.append(model.encoder_forward(cfgs[modality], views[modality], frames, segments))
             return nm.concat(parts, axis=1).data
@@ -506,7 +479,7 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
 
     def hiddens(records: Sequence[UtteranceRecord]) -> list:
         out = []
-        for modality in CONCAT_ORDER:
+        for modality in model.MODALITIES:
             frames, segments = model.pack([_modality_features(r, modality) for r in records])
             out.append((model.frame_hidden(cfgs[modality], views[modality], frames).data, segments))
         return out
@@ -588,35 +561,25 @@ def build_model(meta: dict, params: nm.ParamStore) -> Model:
     return Model(frozen=frozen, head=head)
 
 
-def _load_frozen_encoders(
-    params: nm.ParamStore, meta: dict, sources: Mapping[str, Checkpoint]
-) -> None:
-    for modality, cfg in _encoder_cfgs(meta).items():
-        tensors = sources[modality].tensors
-        for name in _encoder_names(modality, cfg):
-            params.add(name, tensors[name], trainable=False)
-
-
-def _fresh_params(meta: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Initial values of the parameters a run with metadata ``meta`` trains,
-    named as in its checkpoint: stage 1 its encoder and head, stage 2 its
-    fusion projections and head."""
+def _param_shapes(meta: dict) -> model.Shapes:
+    """The shape of every tensor a checkpoint with metadata ``meta`` holds,
+    by name, in the order training adds them: the encoders (which stage 2
+    loads frozen from its stage-1 sources), stage 2's fusion projections,
+    then the head."""
     cfgs = _encoder_cfgs(meta)
-    parts = []
+    parts = [(f"{modality}.", model.encoder_shapes(cfg)) for modality, cfg in cfgs.items()]
     if meta["stage"] == 1:
-        ((modality, cfg),) = cfgs.items()
-        parts.append((f"{modality}.", model.init_encoder_params(cfg, rng)))
-        head_in = cfg.out_dim
+        head_in = cfgs[meta["modality"]].out_dim
     elif meta["fusion"] == "cross_attention":
-        fuse = model.init_cross_attention_params(
-            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, meta["attn_dim"], rng
+        fuse = model.cross_attention_shapes(
+            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, meta["attn_dim"]
         )
         parts.append(("fusion.", fuse))
         head_in = meta["attn_dim"]
     else:
         head_in = cfgs["speech"].out_dim + cfgs["text"].out_dim
-    parts.append(("head.", model.init_head_params(head_in, model.TASK_OUT_DIMS[meta["task"]], rng)))
-    return {prefix + name: arr for prefix, arrays in parts for name, arr in arrays.items()}
+    parts.append(("head.", model.head_shapes(head_in, model.TASK_OUT_DIMS[meta["task"]])))
+    return {prefix + name: shape for prefix, shapes in parts for name, shape in shapes.items()}
 
 
 def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
@@ -655,7 +618,8 @@ def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=
     _check_inputs(metadata, train + dev)  # every record at the first one's width
 
     params = nm.ParamStore()
-    for name, arr in _fresh_params(metadata, np.random.default_rng(cfg.seed)).items():
+    rng = np.random.default_rng(cfg.seed)
+    for name, arr in model.init_params(_param_shapes(metadata), rng).items():
         params.add(name, arr)
 
     best_state, best_dev, best_epoch, history = _run_epochs(
@@ -691,20 +655,23 @@ def train_stage2(
         "stage": 2,
         "task": cfg.task,
         "fusion": cfg.fusion,
-        "activation": cfg.activation,
         "seed": cfg.seed,
         "config": cfg.echo(),
         "speech_encoder": speech_ckpt.metadata["encoder"],
         "text_encoder": text_ckpt.metadata["encoder"],
         "attn_dim": cfg.attn_dim,
-        "concat_order": list(CONCAT_ORDER),
+        "concat_order": list(model.MODALITIES),
         "sources": {"speech": speech_ckpt.content_id, "text": text_ckpt.content_id},
     }
     _check_inputs(metadata, train + dev)
 
+    shapes = _param_shapes(metadata)
+    sources = {"speech": speech_ckpt, "text": text_ckpt}
     params = nm.ParamStore()
-    _load_frozen_encoders(params, metadata, {"speech": speech_ckpt, "text": text_ckpt})
-    for name, arr in _fresh_params(metadata, np.random.default_rng(cfg.seed)).items():
+    for name in filter(_is_encoder, shapes):
+        params.add(name, sources[name.partition(".")[0]].tensors[name], trainable=False)
+    fresh = {name: shape for name, shape in shapes.items() if not _is_encoder(name)}
+    for name, arr in model.init_params(fresh, np.random.default_rng(cfg.seed)).items():
         params.add(name, arr)
 
     net = build_model(metadata, params)
@@ -754,6 +721,6 @@ def frozen_tensor_hashes(ckpt: Checkpoint) -> dict[str, str]:
     """SHA-256 of each encoder tensor; used to verify the freeze contract."""
     out = {}
     for name, arr in ckpt.tensors.items():
-        if name.startswith(ENCODER_PREFIXES):
+        if _is_encoder(name):
             out[name] = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
     return out

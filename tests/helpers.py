@@ -1,4 +1,5 @@
 """Shared test utilities: the finite-difference gradient oracle, the
+layer-by-layer initialisation oracles for ``model.init_params``, the
 per-utterance encoder and cross-attention oracles for packed batches, the
 graph-composed loss and per-tensor Adam oracles for the closed-form loss ops
 and the flat Adam update, and a throwaway chat-completion server for
@@ -73,6 +74,48 @@ def check_gradients(
         assert err < rtol, f"gradient mismatch for {name!r}: rel err {err:.3e}"
 
 
+def _oracle_affine(rng: np.random.Generator, fan_in: int, fan_out: int):
+    bound = 1.0 / math.sqrt(fan_in)
+    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return w, np.zeros(fan_out)
+
+
+def oracle_init_encoder_params(cfg, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Encoder initialisation written out layer by layer: the names, order
+    and draws ``model.init_params(model.encoder_shapes(cfg), rng)`` must
+    reproduce."""
+    params: dict[str, np.ndarray] = {}
+    params["frame.W"], params["frame.b"] = _oracle_affine(rng, cfg.frame_dim, cfg.hidden_dim)
+    pooled = cfg.hidden_dim
+    if cfg.modality == "speech":
+        params["att.W"], params["att.b"] = _oracle_affine(rng, cfg.hidden_dim, cfg.hidden_dim)
+        bound = 1.0 / math.sqrt(cfg.hidden_dim)
+        params["att.v"] = rng.uniform(-bound, bound, size=cfg.hidden_dim)
+        params["att.k"] = np.zeros(1)
+        pooled = 2 * cfg.hidden_dim
+    params["proj.W"], params["proj.b"] = _oracle_affine(rng, pooled, cfg.out_dim)
+    return params
+
+
+def oracle_init_head_params(
+    in_dim: int, out_dim: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    params: dict[str, np.ndarray] = {}
+    params["fc1.W"], params["fc1.b"] = _oracle_affine(rng, in_dim, in_dim)
+    params["fc2.W"], params["fc2.b"] = _oracle_affine(rng, in_dim, out_dim)
+    return params
+
+
+def oracle_init_cross_attention_params(
+    speech_dim: int, text_dim: int, attn_dim: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    params: dict[str, np.ndarray] = {}
+    params["q.W"], _ = _oracle_affine(rng, text_dim, attn_dim)
+    params["k.W"], _ = _oracle_affine(rng, speech_dim, attn_dim)
+    params["v.W"], _ = _oracle_affine(rng, speech_dim, attn_dim)
+    return params
+
+
 def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
     """Attentive statistics pooling of one sequence, its softmax the
     exponentials of the max-shifted scores over their sum: the per-utterance
@@ -89,7 +132,7 @@ def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
 def oracle_encoder_forward(cfg, p, frames) -> nm.Tensor:
     """One utterance's embedding, one graph per utterance."""
     h = model.frame_hidden(cfg, p, frames)
-    if isinstance(cfg, model.SpeechEncoderCfg):
+    if cfg.attentive:
         pooled = oracle_attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"])
     else:
         pooled = h.mean(axis=0)
@@ -215,7 +258,10 @@ class MockChatServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll keeps shutdown() from waiting out the default 0.5 s
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property

@@ -112,7 +112,7 @@ def _check_composites(rng):
     )
 
     # cross-attention fusion
-    xa = model.init_cross_attention_params(3, 3, 3, rng)
+    xa = model.init_params(model.cross_attention_shapes(3, 3, 3), rng)
     hs = rng.normal(size=(3, 3))
     ht = rng.normal(size=(2, 3))
     check_gradients(
@@ -125,7 +125,7 @@ def _check_composites(rng):
     # both head activations; relu pre-activations pushed away from the kink
     fused = rng.uniform(0.3, 1.2, size=4)
     for activation in ("mish", "relu"):
-        head = model.init_head_params(4, model.TASK_OUT_DIMS["attributes"], rng)
+        head = model.init_params(model.head_shapes(4, model.TASK_OUT_DIMS["attributes"]), rng)
         if activation == "relu":
             pre = fused @ head["fc1.W"] + head["fc1.b"]
             while np.min(np.abs(pre)) < 1e-3:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from serlab import dataio
@@ -74,6 +75,12 @@ class TestGenSynth:
         ) == 1
 
 
+def _set_entry(tensors, name, index, value):
+    arr = tensors[name].copy()
+    arr[index] = value
+    tensors[name] = arr
+
+
 # (tensors, metadata) -> None edits of a stage-1 speech checkpoint, and the error each gives
 CHECKPOINT_DEFECTS = {
     "no stage": (lambda t, m: m.pop("stage"), "metadata has no 'stage'"),
@@ -87,6 +94,10 @@ CHECKPOINT_DEFECTS = {
                        "tensor 'head.fc1.b' has shape (5,), expected (16,)"),
     "speech.frame.W cut": (lambda t, m: t.update({"speech.frame.W": t["speech.frame.W"][:, :3]}),
                            "tensor 'speech.frame.W' has shape (12, 3), expected (12, 16)"),
+    "head.fc1.b nan": (lambda t, m: _set_entry(t, "head.fc1.b", 2, np.nan),
+                       "tensor 'head.fc1.b' is not finite at flat index 2"),
+    "speech.frame.W -inf": (lambda t, m: _set_entry(t, "speech.frame.W", (1, 3), -np.inf),
+                            "tensor 'speech.frame.W' is not finite at flat index 19"),
 }
 
 
@@ -288,6 +299,30 @@ class TestExitCodes:
         ) == 1
         assert f"error: {ckpt}: {message}" in capsys.readouterr().err
         assert not preds.exists()
+
+    def test_cross_attention_predict_never_loads_numpy_random(self, dataset, stage1_ckpts,
+                                                              tmp_path):
+        # a command that does not train draws nothing; numpy.random alone
+        # adds about 2 MB to a process's resident memory
+        speech, text = stage1_ckpts
+        ckpt = tmp_path / "xattn.fckp"
+        assert cli_dispatch(
+            ["train-stage2", "--data", str(dataset), "--task", "categorical", "--epochs", "1",
+             "--seed", "7", "--speech-ckpt", str(speech), "--text-ckpt", str(text),
+             "--fusion", "cross_attention", "--out", str(ckpt)]
+        ) == 0
+        src = str(Path(dataio.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = ("import sys\nfrom serlab.cli import cli_dispatch\n"
+                  "code = cli_dispatch(sys.argv[1:])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "predict", "--ckpt", str(ckpt), "--data", str(dataset),
+             "--out", str(tmp_path / "p.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
 
     @pytest.mark.parametrize("content,message", [
         (b"\xff{}", "line 1: byte 0xff at offset 0 is not valid UTF-8"),

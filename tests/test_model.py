@@ -4,7 +4,12 @@ import pytest
 from serlab import model
 from serlab import numerics as nm
 
-from helpers import check_gradients
+from helpers import (
+    check_gradients,
+    oracle_init_cross_attention_params,
+    oracle_init_encoder_params,
+    oracle_init_head_params,
+)
 
 
 def _one(frames) -> model.Segments:
@@ -124,20 +129,45 @@ class TestMeanPool:
             model.mean_pool(nm.tensor(h), _one(h))
 
 
+class TestInitParams:
+    def test_init_params_matches_the_layer_by_layer_oracle(self):
+        # same names, order, dtypes and bytes, and the generator left in the
+        # same state, so a second part drawn from it matches too
+        dims = ((3, 4, 5), (12, 16, 16), (1, 1, 1), (7, 2, 9))
+        cases = []
+        for a, b, c in dims:
+            for modality in model.MODALITIES:
+                cfg = model.EncoderCfg(modality, a, b, c)
+                cases.append((model.encoder_shapes(cfg),
+                              lambda rng, cfg=cfg: oracle_init_encoder_params(cfg, rng)))
+            for task in model.TASKS:
+                out = model.TASK_OUT_DIMS[task]
+                cases.append((model.head_shapes(a, out),
+                              lambda rng, a=a, out=out: oracle_init_head_params(a, out, rng)))
+            cases.append((model.cross_attention_shapes(a, b, c),
+                          lambda rng, d=(a, b, c): oracle_init_cross_attention_params(*d, rng)))
+        for seed in (0, 1, 13, 20001):
+            for shapes, oracle in cases:
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = model.init_params(shapes, rng), oracle(oracle_rng)
+                assert list(got) == list(want)
+                for name in want:
+                    assert got[name].dtype == want[name].dtype, name
+                    assert got[name].shape == want[name].shape, name
+                    assert got[name].tobytes() == want[name].tobytes(), name
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestEncoderForward:
     def _views(self, cfg, seed=0):
         store = nm.ParamStore()
-        for name, arr in model.init_encoder_params(cfg, np.random.default_rng(seed)).items():
+        rng = np.random.default_rng(seed)
+        for name, arr in model.init_params(model.encoder_shapes(cfg), rng).items():
             store.add(name, arr)
         return store, {n: store[n] for n in store.names()}
 
-    def test_param_names_match_initialization_order(self):
-        for cfg in (model.SpeechEncoderCfg(3, 4, 5), model.TextEncoderCfg(3, 4, 5)):
-            init = model.init_encoder_params(cfg, np.random.default_rng(0))
-            assert model.encoder_param_names(cfg) == tuple(init)
-
     def test_output_dim_independent_of_length(self):
-        cfg = model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6)
+        cfg = model.EncoderCfg("speech", frame_dim=5, hidden_dim=4, out_dim=6)
         _, view = self._views(cfg)
         rng = np.random.default_rng(1)
         for t in (1, 3, 8):
@@ -146,14 +176,14 @@ class TestEncoderForward:
             assert out.data[0].shape == (6,)
 
     def test_dim_mismatch_rejected(self):
-        cfg = model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6)
+        cfg = model.EncoderCfg("speech", frame_dim=5, hidden_dim=4, out_dim=6)
         _, view = self._views(cfg)
         with pytest.raises(ValueError, match="expected T x 5"):
             frames = np.zeros((3, 4))
             model.encoder_forward(cfg, view, frames, _one(frames))
 
     def test_empty_sequence_propagates(self):
-        cfg = model.TextEncoderCfg(token_dim=3, hidden_dim=3, out_dim=2)
+        cfg = model.EncoderCfg("text", frame_dim=3, hidden_dim=3, out_dim=2)
         _, view = self._views(cfg)
         with pytest.raises(ValueError, match="empty sequence"):
             frames = np.zeros((0, 3))
@@ -163,7 +193,7 @@ class TestEncoderForward:
         # identity frame affine and projection, attention collapsed to uniform:
         # the encoder reduces to plain statistics of mish(frames)
         d = 3
-        cfg = model.SpeechEncoderCfg(frame_dim=d, hidden_dim=d, out_dim=2 * d)
+        cfg = model.EncoderCfg("speech", frame_dim=d, hidden_dim=d, out_dim=2 * d)
         store = nm.ParamStore()
         view = {
             "frame.W": store.add("frame.W", np.eye(d)),
@@ -184,9 +214,9 @@ class TestEncoderForward:
         assert np.allclose(out, np.concatenate([mu, sigma]), atol=1e-12)
 
     def test_gradients_over_all_params_seed_42(self):
-        cfg = model.SpeechEncoderCfg(frame_dim=3, hidden_dim=3, out_dim=4)
+        cfg = model.EncoderCfg("speech", frame_dim=3, hidden_dim=3, out_dim=4)
         rng = np.random.default_rng(42)
-        arrays = model.init_encoder_params(cfg, rng)
+        arrays = model.init_params(model.encoder_shapes(cfg), rng)
         frames = rng.normal(size=(4, 3))
         check_gradients(
             lambda s: model.encoder_forward(cfg, s, frames, _one(frames)).sum(),
@@ -194,9 +224,9 @@ class TestEncoderForward:
         )
 
     def test_text_encoder_gradients(self):
-        cfg = model.TextEncoderCfg(token_dim=3, hidden_dim=4, out_dim=3)
+        cfg = model.EncoderCfg("text", frame_dim=3, hidden_dim=4, out_dim=3)
         rng = np.random.default_rng(21)
-        arrays = model.init_encoder_params(cfg, rng)
+        arrays = model.init_params(model.encoder_shapes(cfg), rng)
         tokens = rng.normal(size=(5, 3))
         check_gradients(
             lambda s: nm.square(model.encoder_forward(cfg, s, tokens, _one(tokens))).sum(),
@@ -236,7 +266,9 @@ class TestFusionHead:
             store = nm.ParamStore()
             view = {
                 name: store.add(name, arr)
-                for name, arr in model.init_head_params(6, model.TASK_OUT_DIMS[task], rng).items()
+                for name, arr in model.init_params(
+                    model.head_shapes(6, model.TASK_OUT_DIMS[task]), rng
+                ).items()
             }
             out = model.fusion_head_forward("mish", view, nm.tensor(np.ones(6)))
             assert out.shape == (width,)
@@ -261,7 +293,7 @@ class TestFusionHead:
 
     def test_head_gradients(self):
         rng = np.random.default_rng(42)
-        arrays = model.init_head_params(4, model.TASK_OUT_DIMS["attributes"], rng)
+        arrays = model.init_params(model.head_shapes(4, model.TASK_OUT_DIMS["attributes"]), rng)
         fused = rng.normal(size=4)
         check_gradients(
             lambda s: nm.square(model.fusion_head_forward("mish", s, nm.tensor(fused))).sum(),
@@ -271,7 +303,7 @@ class TestFusionHead:
 
 class TestCrossAttention:
     def _arrays(self, rng, ds=3, dt=4, attn=3):
-        return model.init_cross_attention_params(ds, dt, attn, rng)
+        return model.init_params(model.cross_attention_shapes(ds, dt, attn), rng)
 
     def _fuse(self, hs, ht, view):
         """The batched head over a batch of the one utterance (hs, ht)."""
@@ -322,6 +354,10 @@ class TestCrossAttention:
 class TestConfigs:
     def test_dims_validated(self):
         with pytest.raises(ValueError):
-            model.SpeechEncoderCfg(frame_dim=0, hidden_dim=1, out_dim=1)
+            model.EncoderCfg("speech", frame_dim=0, hidden_dim=1, out_dim=1)
         with pytest.raises(ValueError):
-            model.TextEncoderCfg(token_dim=1, hidden_dim=-1, out_dim=1)
+            model.EncoderCfg("text", frame_dim=1, hidden_dim=-1, out_dim=1)
+
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ValueError, match="unknown modality 'audio'"):
+            model.EncoderCfg("audio", frame_dim=1, hidden_dim=1, out_dim=1)

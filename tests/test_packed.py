@@ -14,8 +14,8 @@ from serlab.trainer import (
 from helpers import check_gradients, oracle_cross_attention, oracle_encode_batch
 
 CFGS = {
-    "speech": model.SpeechEncoderCfg(frame_dim=5, hidden_dim=4, out_dim=6),
-    "text": model.TextEncoderCfg(token_dim=5, hidden_dim=4, out_dim=6),
+    "speech": model.EncoderCfg("speech", frame_dim=5, hidden_dim=4, out_dim=6),
+    "text": model.EncoderCfg("text", frame_dim=5, hidden_dim=4, out_dim=6),
 }
 
 LENGTHS = {
@@ -39,7 +39,7 @@ def _grads(arrays, weights, forward):
 def test_packed_encoder_matches_per_utterance_oracle(modality, case):
     cfg = CFGS[modality]
     rng = np.random.default_rng(11)
-    arrays = model.init_encoder_params(cfg, rng)
+    arrays = model.init_params(model.encoder_shapes(cfg), rng)
     if modality == "speech":
         arrays["att.v"] = rng.uniform(-2.0, 2.0, size=4)  # far from uniform attention
     seqs = [rng.normal(size=(n, 5)) for n in LENGTHS[case]]
@@ -73,9 +73,11 @@ def _under(view, prefix):
 @pytest.mark.parametrize("case", list(XATTN_LENGTHS))
 def test_packed_cross_attention_matches_per_utterance_oracle(case):
     rng = np.random.default_rng(12)
-    arrays = {f"fusion.{n}": a for n, a in model.init_cross_attention_params(4, 5, 3, rng).items()}
+    fuse = model.init_params(model.cross_attention_shapes(4, 5, 3), rng)
+    arrays = {f"fusion.{n}": a for n, a in fuse.items()}
     arrays["fusion.q.W"] = arrays["fusion.q.W"] * 4.0  # far from uniform attention
-    arrays.update({f"head.{n}": a for n, a in model.init_head_params(3, 8, rng).items()})
+    head = model.init_params(model.head_shapes(3, 8), rng)
+    arrays.update({f"head.{n}": a for n, a in head.items()})
     speech_lengths, text_lengths = XATTN_LENGTHS[case]
     hs = [rng.normal(size=(n, 4)) for n in speech_lengths]
     ht = [rng.normal(size=(n, 5)) for n in text_lengths]

@@ -82,7 +82,7 @@ class TestAdam:
 
     def test_flat_update_equals_the_per_tensor_oracle_after_200_steps(self):
         rng = np.random.default_rng(21)
-        init = model.init_encoder_params(model.SpeechEncoderCfg(12, 16, 16), rng)
+        init = model.init_params(model.encoder_shapes(model.EncoderCfg("speech", 12, 16, 16)), rng)
         stores = [nm.ParamStore(), nm.ParamStore()]
         for store in stores:
             for name, values in init.items():
@@ -116,13 +116,15 @@ class TestStage1:
         ckpt = train_stage1(cfg, tiny_records)
         # replicate the seeded initialization order: encoder first, head second
         dim = tiny_records[0].speech_frames.shape[1]
-        enc_cfg = model.SpeechEncoderCfg(dim, cfg.hidden_dim, cfg.out_dim)
+        enc_cfg = model.EncoderCfg("speech", dim, cfg.hidden_dim, cfg.out_dim)
         rng = np.random.default_rng(cfg.seed)
         expected = {
-            f"speech.{n}": a for n, a in model.init_encoder_params(enc_cfg, rng).items()
+            f"speech.{n}": a
+            for n, a in model.init_params(model.encoder_shapes(enc_cfg), rng).items()
         }
         expected.update(
-            {f"head.{n}": a for n, a in model.init_head_params(cfg.out_dim, 8, rng).items()}
+            {f"head.{n}": a
+             for n, a in model.init_params(model.head_shapes(cfg.out_dim, 8), rng).items()}
         )
         assert set(ckpt.tensors) == set(expected)
         for name, arr in expected.items():
@@ -202,7 +204,7 @@ class TestStage2:
         ckpt = train_stage2(cfg, speech, text, tiny_records)
         rng = np.random.default_rng(cfg.seed)
         head_in = speech.metadata["encoder"]["out_dim"] + text.metadata["encoder"]["out_dim"]
-        init = model.init_head_params(head_in, 3, rng)
+        init = model.init_params(model.head_shapes(head_in, 3), rng)
         assert not np.array_equal(ckpt.tensors["head.fc1.W"], init["fc1.W"])
 
     def test_cross_attention_fusion_trains(self, tiny_records, stage1_pair):
@@ -256,8 +258,8 @@ class TestStage2:
         batch = tiny_records[:7]
         rows = build_model(ckpt.metadata, params).frozen(batch)
         s, t = ckpt.metadata["speech_encoder"], ckpt.metadata["text_encoder"]
-        s_cfg = model.SpeechEncoderCfg(s["frame_dim"], s["hidden_dim"], s["out_dim"])
-        t_cfg = model.TextEncoderCfg(t["frame_dim"], t["hidden_dim"], t["out_dim"])
+        s_cfg = model.EncoderCfg("speech", s["frame_dim"], s["hidden_dim"], s["out_dim"])
+        t_cfg = model.EncoderCfg("text", t["frame_dim"], t["hidden_dim"], t["out_dim"])
         assert rows.shape == (7, s["out_dim"] + t["out_dim"])
         for row, r in zip(rows, batch):
             es = oracle_encoder_forward(s_cfg, params.view("speech."), r.speech_frames).data
