@@ -4,8 +4,9 @@ Two binary formats, both little-endian:
 
 * FEMB (embeddings): magic ``FEMB``, u32 version, u32 feature dim D,
   u64 record count, then per record a u16-length-prefixed UTF-8 id,
-  u32 frame count T, and T*D float32 values.  Storage is 32-bit;
-  reading upconverts to float64.
+  u32 frame count T >= 1, and T*D float32 values.  A record read back
+  stays float32, as a read-only view of the file's bytes; ``model.pack``
+  casts a batch to float64 when it packs it.
 * FCKP (checkpoints): magic ``FCKP``, u32 version, u32-length-prefixed
   UTF-8 JSON metadata, u32 tensor count, then per tensor a u16-length-
   prefixed name, u32 rank, u32 dims, and float64 data.
@@ -249,7 +250,8 @@ def write_embeddings(path, items: Sequence[tuple[str, np.ndarray]], dim: int | N
 
 
 def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
-    """Read an FEMB file into (id, T x D float64 matrix) pairs."""
+    """Read an FEMB file into (id, T x D float32 matrix) pairs, each a
+    read-only view of its record's bytes; ``model.pack`` casts to float64."""
     with open(path, "rb") as f:
         r = _Reader(f, path)
         magic, version, dim, count = r.unpack("<4sIIQ", "header")
@@ -270,8 +272,10 @@ def read_embeddings(path) -> list[tuple[str, np.ndarray]]:
             seen.add(name)
             at = r.offset
             (frames,) = r.unpack("<I", "frame count")
+            if frames == 0:
+                raise FormatError(path, f"record {name!r}: frame count 0", at)
             raw = r.take(frames * dim * 4, f"record {name!r} data", at)
-            out.append((name, np.frombuffer(raw, dtype="<f4").reshape(frames, dim).astype(np.float64)))
+            out.append((name, np.frombuffer(raw, dtype="<f4").reshape(frames, dim)))
         r.finish("record")
     return out
 
@@ -468,6 +472,10 @@ def gen_synthetic(cfg: SynthConfig) -> list[UtteranceRecord]:
     direction scaled by the separation plus Gaussian noise.  Attributes
     are the class anchor plus noise, clamped to the attribute range.
     Output is a deterministic function of the config.
+
+    Frames stay float64, unlike records read from FEMB (float32): a batch
+    packs to float64 exactly whatever mix of the two its records hold, and
+    the in-memory records are what the tests train on.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.frame_range

@@ -23,8 +23,6 @@ from pathlib import Path
 from string import punctuation
 from typing import Sequence
 
-import requests
-
 from .dataio import PredictionSet
 from .metrics import EMOTION_NAMES, clamp_attributes
 
@@ -197,7 +195,10 @@ class _CacheWriter:
 def _post_chat(endpoint: LlmEndpointConfig, prompt: str) -> str:
     """The reply text.  Connection errors, timeouts, 429 and 5xx replies are
     retried up to ``max_retries`` times with capped exponential back-off;
-    anything else fails at once."""
+    anything else fails at once.  ``requests`` is imported here, the one
+    place that posts, so commands other than ``llm run`` never load it."""
+    import requests
+
     url = endpoint.base_url.rstrip("/") + "/v1/chat/completions"
     payload = {
         "model": endpoint.model,

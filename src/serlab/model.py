@@ -98,8 +98,10 @@ class Segments:
 
 
 def pack(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, Segments]:
-    """One (sum T) x D matrix and its layout from B sequences of T_b x D rows."""
-    return np.concatenate(seqs, axis=0), Segments.of([len(s) for s in seqs])
+    """One (sum T) x D float64 matrix and its layout from B sequences of
+    T_b x D rows.  Records read from FEMB are float32; the cast here is
+    exact, so a batch holds the same values whatever its records' dtype."""
+    return np.concatenate(seqs, axis=0, dtype=np.float64), Segments.of([len(s) for s in seqs])
 
 
 def _check_layout(H: Tensor, segments: Segments, op: str) -> None:

@@ -302,8 +302,9 @@ class TestExitCodes:
 
     def test_cross_attention_predict_never_loads_numpy_random(self, dataset, stage1_ckpts,
                                                               tmp_path):
-        # a command that does not train draws nothing; numpy.random alone
-        # adds about 2 MB to a process's resident memory
+        # a command that does not train draws nothing, and only `llm run`
+        # posts; numpy.random alone adds about 2 MB to a process's resident
+        # memory, and requests about 9 MB
         speech, text = stage1_ckpts
         ckpt = tmp_path / "xattn.fckp"
         assert cli_dispatch(
@@ -316,13 +317,20 @@ class TestExitCodes:
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         script = ("import sys\nfrom serlab.cli import cli_dispatch\n"
                   "code = cli_dispatch(sys.argv[1:])\n"
-                  "print(code, 'numpy.random' in sys.modules)\n")
-        done = subprocess.run(
-            [sys.executable, "-c", script, "predict", "--ckpt", str(ckpt), "--data", str(dataset),
-             "--out", str(tmp_path / "p.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+                  "print(code, 'numpy.random' in sys.modules, 'requests' in sys.modules)\n")
+
+        def loaded(*argv):
+            done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            return done.stdout.splitlines()[-1], done.stdout + done.stderr
+
+        last, out = loaded("predict", "--ckpt", str(ckpt), "--data", str(dataset),
+                           "--out", str(tmp_path / "p.csv"))
+        assert last == "0 False False", out
+        last, out = loaded("train-stage1", "--data", str(dataset), "--modality", "speech",
+                           "--task", "categorical", "--epochs", "1", "--seed", "8",
+                           "--out", str(tmp_path / "s.fckp"))
+        assert last == "0 True False", out
 
     @pytest.mark.parametrize("content,message", [
         (b"\xff{}", "line 1: byte 0xff at offset 0 is not valid UTF-8"),

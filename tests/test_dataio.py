@@ -84,6 +84,14 @@ class TestEmbeddingsFormat:
         with pytest.raises(FormatError, match=r"feature dim 0 \(byte offset 8\)"):
             read_embeddings(path)
 
+    def test_zero_frame_record_rejected_at_its_count(self, tmp_path):
+        path = tmp_path / "frames0.femb"
+        path.write_bytes(struct.pack("<4sIIQ", b"FEMB", 1, 2, 1) + struct.pack("<H", 1) + b"a"
+                         + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: record 'a': frame count 0 "
+                                              r"\(byte offset 23\)$"):
+            read_embeddings(path)
+
     def test_repeated_id_cites_the_repeat(self, tmp_path):
         path = tmp_path / "dup.femb"
         write_embeddings(path, [("a", np.ones((1, 2))), ("b", np.ones((2, 2))), ("a", np.ones((1, 2)))])

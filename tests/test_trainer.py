@@ -7,7 +7,14 @@ import pytest
 
 from serlab import model
 from serlab import numerics as nm
-from serlab.dataio import SynthConfig, UtteranceRecord, gen_synthetic
+from serlab.dataio import (
+    SynthConfig,
+    UtteranceRecord,
+    gen_synthetic,
+    load_dataset,
+    write_dataset,
+    write_predictions,
+)
 from serlab.metrics import attribute_metrics, classification_metrics
 from serlab.trainer import (
     AdamState,
@@ -347,6 +354,55 @@ class TestPredict:
         loaded = Checkpoint.load(path)
         dev = [r for r in tiny_records if r.split == "dev"]
         assert predict(speech, dev).labels == predict(loaded, dev).labels
+
+
+class TestStoredPrecisionFrames:
+    """Records read from FEMB are read-only float32 views, and ``model.pack``
+    casts each batch to float64.  Since that cast is exact, every checkpoint
+    and prediction equals the one trained on the same records upcast to
+    float64, also for batches that mix both dtypes, and no run writes to a
+    record's frames."""
+
+    @staticmethod
+    def _as(records, dtype_of):
+        return [dataclasses.replace(r, speech_frames=r.speech_frames.astype(dtype_of(i)),
+                                    text_tokens=r.text_tokens.astype(dtype_of(i)))
+                for i, r in enumerate(records)]
+
+    @staticmethod
+    def _artifacts(records, tmp_path):
+        s1 = dict(stage=1, task="categorical", loss="focal", learning_rate=0.01, epochs=2,
+                  batch_size=8)
+        speech = train_stage1(TrainConfig(**s1, modality="speech", seed=41), records)
+        text = train_stage1(TrainConfig(**s1, modality="text", seed=42), records)
+        ckpts = [speech, text] + [
+            train_stage2(TrainConfig(stage=2, task="attributes", fusion=fusion,
+                                     learning_rate=0.01, epochs=2, seed=43, batch_size=8),
+                         speech, text, records)
+            for fusion in ("concat", "cross_attention")
+        ]
+        out = []
+        for i, ckpt in enumerate(ckpts):
+            path = tmp_path / f"preds{i}.csv"
+            write_predictions(path, predict(ckpt, records))
+            out.append((ckpt.content_id, path.read_bytes()))
+        return out
+
+    def test_float32_views_give_the_float64_artifacts(self, tmp_path):
+        cfg = SynthConfig(class_counts=(6,) * 8, frame_range=(3, 9),
+                          split_fractions=(0.5, 0.25, 0.25), seed=13)
+        write_dataset(tmp_path / "d", gen_synthetic(cfg))
+        read = load_dataset(tmp_path / "d", ["speech", "text"])
+        frames = [(r.speech_frames, r.text_tokens) for r in read]
+        assert all(m.dtype == np.float32 and not m.flags.writeable for pair in frames for m in pair)
+        before = [(s.copy(), t.copy()) for s, t in frames]
+
+        wide = self._artifacts(self._as(read, lambda i: np.float64), tmp_path)
+        assert self._artifacts(read, tmp_path) == wide
+        mixed = self._as(read, lambda i: np.float32 if i % 2 else np.float64)
+        assert self._artifacts(mixed, tmp_path) == wide
+        for (s, t), (s0, t0) in zip(frames, before):
+            assert np.array_equal(s, s0) and np.array_equal(t, t0)
 
 
 class TestTrainingDynamics:
