@@ -552,17 +552,14 @@ def load_dataset(data_dir, modalities: Sequence[str]) -> list[UtteranceRecord]:
 # checkpoints (FCKP)
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray], metadata: dict) -> None:
-    names = list(tensors)
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate tensor names")
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
     with atomic_write(path, binary=True) as f:
         f.write(struct.pack("<4sI", CKPT_MAGIC, CKPT_VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))
         f.write(meta_bytes)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
+        f.write(struct.pack("<I", len(tensors)))
+        for name, values in tensors.items():
+            arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)

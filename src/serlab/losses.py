@@ -13,11 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
+from .numerics import CCC_DEGENERATE_EPS, Tensor
 
 NUM_CLASSES = 8
-
-CCC_DEGENERATE_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -28,8 +26,8 @@ class ClassWeights:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (NUM_CLASSES,):
             raise ValueError(f"ClassWeights: expected {NUM_CLASSES} entries, got shape {w.shape}")
-        if not np.all(w > 0.0):
-            raise ValueError("ClassWeights: weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise ValueError("ClassWeights: weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -48,8 +46,8 @@ class FocalConfig:
         a = np.asarray(self.alpha, dtype=np.float64)
         if a.shape != (NUM_CLASSES,):
             raise ValueError(f"FocalConfig: alpha must have {NUM_CLASSES} entries")
-        if not np.all(a > 0.0):
-            raise ValueError("FocalConfig: alpha entries must be strictly positive")
+        if not np.all(np.isfinite(a) & (a > 0.0)):
+            raise ValueError("FocalConfig: alpha entries must be finite and strictly positive")
         object.__setattr__(self, "alpha", a)
 
 
@@ -85,14 +83,14 @@ def weighted_cross_entropy(logits: Tensor, targets: Sequence[int], weights: Clas
     """Per-class weighted CE, normalized by the total weight (weighted mean)."""
     t = _check_logits(logits, targets)
     w = weights.weights[t]
-    return (nm.focal_terms(logits, t, 0.0) * nm.tensor(w)).sum() / nm.tensor(float(w.sum()))
+    return (nm.focal_terms(logits, t, 0.0) * w).sum() / float(w.sum())
 
 
 def focal_loss(logits: Tensor, targets: Sequence[int], cfg: FocalConfig) -> Tensor:
     """Mean of alpha_t * (1 - p_t)^gamma * (-log p_t) over the batch."""
     t = _check_logits(logits, targets)
-    per_sample = nm.focal_terms(logits, t, cfg.gamma) * nm.tensor(cfg.alpha[t])
-    return per_sample.sum() / nm.tensor(float(t.size))
+    per_sample = nm.focal_terms(logits, t, cfg.gamma) * cfg.alpha[t]
+    return per_sample.sum() / float(t.size)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +130,6 @@ def ccc_loss(pred: Tensor, truth: np.ndarray) -> Tensor:
         )
     if pred.shape[0] < 2:
         raise ValueError("ccc_loss: need at least 2 samples")
-    _, vx, vy, gap = _ccc_moments(pred.data.T.copy(), y.T.copy())
-    degenerate = np.flatnonzero(vx + vy + gap * gap < CCC_DEGENERATE_EPS)
-    if degenerate.size:
-        raise ValueError(f"degenerate CCC in attribute column {degenerate[0]}")
     return 1.0 - nm.ccc_columns(pred, y).sum() / 3.0
 
 

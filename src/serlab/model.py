@@ -200,8 +200,9 @@ def init_params(shapes: Shapes, rng: np.random.Generator) -> dict[str, np.ndarra
 
 def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
     """Per-frame affine+Mish features (T x hidden, or sum T x hidden for a
-    packed batch), before any pooling."""
-    x = frames if isinstance(frames, Tensor) else nm.tensor(frames)
+    packed batch), before any pooling.  Frames are not checked here: callers
+    check inputs first, and ``mish`` rejects what a non-finite frame gives."""
+    x = frames if isinstance(frames, Tensor) else Tensor(frames)
     if x.data.ndim != 2 or x.shape[1] != cfg.frame_dim:
         raise ValueError(
             f"encoder_forward: expected T x {cfg.frame_dim} features, got shape {x.shape}"

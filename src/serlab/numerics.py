@@ -35,6 +35,8 @@ import numpy as np
 
 Array = np.ndarray
 
+CCC_DEGENERATE_EPS = 1e-15  # a smaller concordance denominator is degenerate
+
 __all__ = [
     "Tensor",
     "ParamStore",
@@ -477,8 +479,8 @@ def ccc_columns(x, y) -> Tensor:
     var = (centered * centered).sum(axis=1) / n
     gap = mean[:cols] - mean[cols:]
     denom = var[:cols] + var[cols:] + gap * gap
-    if not denom.all():
-        raise ValueError(f"ccc_columns: zero denominator in column {int(np.argmin(denom))}")
+    if denom.min() < CCC_DEGENERATE_EPS:
+        raise ValueError(f"ccc_columns: degenerate CCC in column {int(np.argmin(denom))}")
     c = 2.0 * ((xc * yc).sum(axis=1) / n) / denom
 
     def backward_fn(g: Array) -> None:
@@ -562,10 +564,11 @@ class ParamStore:
         self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, values, trainable: bool = True) -> Tensor:
+        """``values`` as parameter ``name``, unchecked: they come from
+        ``init_params`` or a ``Checkpoint``, which checked them."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(values, requires_grad=trainable, op="param")
-        _check_finite(t.data, f"param {name!r}")
         self._params[name] = t
         self._trainable[name] = trainable
         return t

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -82,6 +83,8 @@ class TrainConfig:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate < 0:
             raise ValueError("batch_size/epochs must be >= 1 and learning_rate >= 0")
+        if self.loss == "ccc_loss" and self.batch_size < 2:
+            raise ValueError(f"ccc_loss needs batch_size >= 2, got {self.batch_size}")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -89,8 +92,27 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """Trained tensors and their model's metadata, checked when built: a
+    ValueError names the first metadata key or tensor the model builder
+    cannot read (missing, mistyped, misshapen or non-finite).  Readers trust
+    this, so rebuild a bad checkpoint rather than edit one in place."""
+
     tensors: dict[str, np.ndarray]
     metadata: dict
+
+    def __post_init__(self) -> None:
+        _check_metadata(self.metadata)
+        for name, shape in _param_shapes(self.metadata).items():
+            got = self.tensors.get(name)
+            if got is None:
+                raise ValueError(f"tensor {name!r} is missing")
+            if got.shape != shape:
+                raise ValueError(f"tensor {name!r} has shape {got.shape}, expected {shape}")
+            finite = np.isfinite(got).ravel()
+            if not finite.all():
+                raise ValueError(
+                    f"tensor {name!r} is not finite at flat index {int(np.argmin(finite))}"
+                )
 
     @property
     def content_id(self) -> str:
@@ -109,30 +131,10 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         tensors, metadata = dataio.read_checkpoint(path)
-        ckpt = cls(tensors=tensors, metadata=metadata)
-        ckpt.check(str(path))
-        return ckpt
-
-    def check(self, where: str = "checkpoint") -> None:
-        """Raise a ValueError, naming ``where`` and the metadata key or
-        tensor, unless the model builder can read this checkpoint: every
-        metadata key it reads, of the right type, and every tensor it reads,
-        finite and in the shape ``_param_shapes`` gives."""
         try:
-            _check_metadata(self.metadata)
-            for name, shape in _param_shapes(self.metadata).items():
-                got = self.tensors.get(name)
-                if got is None:
-                    raise ValueError(f"tensor {name!r} is missing")
-                if got.shape != shape:
-                    raise ValueError(f"tensor {name!r} has shape {got.shape}, expected {shape}")
-                finite = np.isfinite(got).ravel()
-                if not finite.all():
-                    raise ValueError(
-                        f"tensor {name!r} is not finite at flat index {int(np.argmin(finite))}"
-                    )
+            return cls(tensors=tensors, metadata=metadata)
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _meta_value(meta: dict, key: str, choices: tuple | None = None):
@@ -234,7 +236,7 @@ def adam_step(
 # shared training machinery
 
 def _split_records(
-    records: Sequence[UtteranceRecord], task: str
+    records: Sequence[UtteranceRecord], cfg: TrainConfig
 ) -> tuple[list[UtteranceRecord], list[UtteranceRecord]]:
     train = [r for r in records if r.split == "train"]
     dev = [r for r in records if r.split == "dev"]
@@ -242,15 +244,19 @@ def _split_records(
         raise ValueError("empty train split")
     if not dev:
         raise ValueError("empty dev split")
+    if cfg.task == "attributes" and len(dev) < 2:
+        raise ValueError(f"attribute task needs at least 2 dev records, got {len(dev)}")
+    if cfg.loss == "ccc_loss" and len(train) < 2:
+        raise ValueError(f"ccc_loss needs at least 2 train records, got {len(train)}")
     seen: set[str] = set()
     for r in train + dev:
         if r.id in seen:
             raise ValueError(f"duplicate record id {r.id!r} in train + dev")
         seen.add(r.id)
-    needed = "emotion" if task == "categorical" else "attributes"
+    needed = "emotion" if cfg.task == "categorical" else "attributes"
     for r in train + dev:
         if getattr(r, needed) is None:
-            raise ValueError(f"record {r.id!r}: missing {needed} label for task {task!r}")
+            raise ValueError(f"record {r.id!r}: missing {needed} label for task {cfg.task!r}")
     return train, dev
 
 
@@ -338,12 +344,15 @@ def _failure_site(cfg: TrainConfig, epoch: int, where: str) -> Iterator[None]:
 
 def _run_epochs(
     cfg: TrainConfig,
+    metadata: dict,
     params: nm.ParamStore,
     net: Model,
     train: Sequence[UtteranceRecord],
     dev: Sequence[UtteranceRecord],
     log_path=None,
-) -> tuple[dict[str, np.ndarray], dict[str, float], int, list[dict]]:
+) -> Checkpoint:
+    """The checkpoint of the best dev epoch: ``metadata`` plus the selection
+    and the epoch history."""
     cat_loss = _categorical_loss_fn(cfg, train) if cfg.task == "categorical" else None
     state = AdamState.for_params(params, params.trainable_names())
     key = _selection_key(cfg.task)
@@ -351,7 +360,6 @@ def _run_epochs(
     best_dev: dict[str, float] | None = None
     best_epoch = -1
     history: list[dict] = []
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(cfg.epochs):
             plan = _make_plan(cfg, train, epoch)
@@ -368,18 +376,23 @@ def _run_epochs(
                 count += len(batch)
             with _failure_site(cfg, epoch, "dev evaluation"):
                 dev_metrics = _eval_dev(cfg.task, net, dev, cfg.batch_size)
-            entry = {"epoch": epoch, "train_loss": total / count, "dev": dev_metrics}
-            history.append(entry)
-            if log_file:
-                log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+            history.append({"epoch": epoch, "train_loss": total / count, "dev": dev_metrics})
             if best_dev is None or dev_metrics[key] > best_dev[key]:
                 best_dev = dev_metrics
                 best_epoch = epoch
                 best_state = params.state_dict()
-    finally:
-        if log_file:
-            log_file.close()
-    return best_state, best_dev, best_epoch, history
+    except TrainingError:
+        sys.stderr.write(_log_lines(history))  # the finished epochs, not lost with the run
+        raise
+    if log_path:
+        with dataio.atomic_write(log_path) as f:
+            f.write(_log_lines(history))
+    metadata.update(best_epoch=best_epoch, dev_metrics=best_dev, history=history)
+    return Checkpoint(tensors=best_state, metadata=metadata)
+
+
+def _log_lines(history: Sequence[dict]) -> str:
+    return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +596,6 @@ def _param_shapes(meta: dict) -> model.Shapes:
 
 
 def _check_stage1_source(ckpt: Checkpoint, modality: str) -> None:
-    ckpt.check(f"{modality} checkpoint")
     meta = ckpt.metadata
     if meta["stage"] != 1:
         raise ValueError(
@@ -600,7 +612,7 @@ def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=
     """Train one modality's encoder plus task head end-to-end."""
     if cfg.stage != 1:
         raise ValueError(f"train_stage1 requires cfg.stage == 1, got {cfg.stage}")
-    train, dev = _split_records(records, cfg.task)
+    train, dev = _split_records(records, cfg)
     modality = cfg.modality
     first = _modality_features(train[0], modality)
     if first is None:
@@ -622,11 +634,7 @@ def train_stage1(cfg: TrainConfig, records: Sequence[UtteranceRecord], log_path=
     for name, arr in model.init_params(_param_shapes(metadata), rng).items():
         params.add(name, arr)
 
-    best_state, best_dev, best_epoch, history = _run_epochs(
-        cfg, params, build_model(metadata, params), train, dev, log_path
-    )
-    metadata.update(best_epoch=best_epoch, dev_metrics=best_dev, history=history)
-    return Checkpoint(tensors=best_state, metadata=metadata)
+    return _run_epochs(cfg, metadata, params, build_model(metadata, params), train, dev, log_path)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +658,7 @@ def train_stage2(
         raise ValueError(f"train_stage2 requires cfg.stage == 2, got {cfg.stage}")
     _check_stage1_source(speech_ckpt, "speech")
     _check_stage1_source(text_ckpt, "text")
-    train, dev = _split_records(records, cfg.task)
+    train, dev = _split_records(records, cfg)
     metadata = {
         "stage": 2,
         "task": cfg.task,
@@ -677,11 +685,7 @@ def train_stage2(
     net = build_model(metadata, params)
     if cfg.fusion == "concat":
         net = replace(net, frozen=_rows_by_id(net.frozen, (train, dev), cfg.batch_size))
-    best_state, best_dev, best_epoch, history = _run_epochs(
-        cfg, params, net, train, dev, log_path
-    )
-    metadata.update(best_epoch=best_epoch, dev_metrics=best_dev, history=history)
-    return Checkpoint(tensors=best_state, metadata=metadata)
+    return _run_epochs(cfg, metadata, params, net, train, dev, log_path)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +700,6 @@ def predict(
 
     Records are scored in chunks of the checkpoint's training batch size.
     """
-    ckpt.check()
     params = nm.ParamStore()
     for name, arr in ckpt.tensors.items():
         params.add(name, arr, trainable=False)

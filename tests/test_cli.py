@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serlab import dataio
+from serlab import dataio, trainer
 from serlab.cli import cli_dispatch, load_config_file
 from serlab.dataio import LabelRow, PredictionSet, write_labels, write_predictions
 from serlab.trainer import Checkpoint
@@ -355,6 +355,87 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage-1 text training failed at epoch 0, batch 1: " in err
         assert not (tmp_path / "t.fckp").exists()
+
+    def test_failed_run_keeps_the_previous_log_and_prints_its_epochs(self, dataset, tmp_path,
+                                                                    capsys, monkeypatch):
+        out, log = tmp_path / "s.fckp", tmp_path / "s.jsonl"
+        argv = ["train-stage1", "--data", str(dataset), "--modality", "text",
+                "--task", "categorical", "--lr", "0.01", "--epochs", "2", "--seed", "3",
+                "--out", str(out), "--log", str(log)]
+        assert cli_dispatch(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        first_epoch = log.read_text().splitlines()[0]
+        real_eval, evals = trainer._eval_dev, []
+
+        def eval_failing_at_epoch_1(*args):
+            evals.append(args)
+            if len(evals) == 2:
+                raise FloatingPointError("overflow encountered in matmul")
+            return real_eval(*args)
+
+        monkeypatch.setattr(trainer, "_eval_dev", eval_failing_at_epoch_1)
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            first_epoch,
+            "failure: stage-1 text training failed at epoch 1, dev evaluation: "
+            "overflow encountered in matmul",
+        ]
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("case, message", [
+        ("batch size 1", "ccc_loss needs batch_size >= 2, got 1"),
+        ("1 train record", "ccc_loss needs at least 2 train records, got 1"),
+        ("1 dev record", "attribute task needs at least 2 dev records, got 1"),
+    ])
+    def test_ccc_training_with_fewer_than_two_samples_fails_up_front(
+            self, dataset, tmp_path, capsys, case, message):
+        data, batch_size = dataset, "8"
+        if case == "batch size 1":
+            batch_size = "1"
+        else:
+            split = case.split()[1]
+            records = dataio.load_dataset(dataset, ("speech", "text"))
+            kept = [r for r in records if r.split != split]
+            data = tmp_path / "data"
+            dataio.write_dataset(data, kept + [next(r for r in records if r.split == split)])
+        out = tmp_path / "s.fckp"
+        capsys.readouterr()
+        assert cli_dispatch(
+            ["train-stage1", "--data", str(data), "--modality", "speech", "--task", "attributes",
+             "--batch-size", batch_size, "--lr", "0.01", "--epochs", "1", "--seed", "3",
+             "--out", str(out)]
+        ) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, validations", [
+        ("predict", 1), ("train-stage2", 3), ("sweep table1", 8),
+    ])
+    def test_each_checkpoint_is_validated_once(self, dataset, stage1_ckpts, tmp_path,
+                                               monkeypatch, command, validations):
+        # predict loads one; train-stage2 loads two and builds its own; the
+        # sweep loads two and builds one per task for each of its 3 rows
+        speech, text = stage1_ckpts
+        out = str(tmp_path / "out")
+        argv = {
+            "predict": ["predict", "--ckpt", str(speech), "--data", str(dataset), "--out", out],
+            "train-stage2": ["train-stage2", "--data", str(dataset), "--task", "categorical",
+                             "--epochs", "1", "--seed", "7", "--speech-ckpt", str(speech),
+                             "--text-ckpt", str(text), "--out", out],
+            "sweep table1": ["sweep", "table1", "--data", str(dataset), "--speech-ckpt",
+                             str(speech), "--text-ckpt", str(text), "--seed", "3",
+                             "--epochs", "1", "--split", "test1", "--out", out],
+        }[command]
+        real_check, checked = trainer._check_metadata, []
+
+        def counting_check(meta):
+            checked.append(meta)
+            return real_check(meta)
+
+        monkeypatch.setattr(trainer, "_check_metadata", counting_check)
+        assert cli_dispatch(argv) == 0
+        assert len(checked) == validations
 
     def test_focal_gamma_below_one_trains_through_certain_predictions(self, tmp_path, capsys):
         # well-separated classes and a large rate drive some p_t to round to 1,

@@ -139,6 +139,15 @@ class TestFocalLoss:
         with pytest.raises(ValueError, match="alpha"):
             losses.FocalConfig(alpha=np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_constants_rejected_when_built(self, bad):
+        entries = np.ones(8)
+        entries[3] = bad
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            losses.FocalConfig(alpha=entries)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            losses.ClassWeights(entries)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_gamma_zero_identity_property(self, seed):

@@ -182,6 +182,16 @@ class TestEncoderForward:
             frames = np.zeros((3, 4))
             model.encoder_forward(cfg, view, frames, _one(frames))
 
+    def test_nan_frame_rejected_by_mish(self):
+        # frame_hidden leaves finiteness to the callers' input checks and to
+        # mish, which a bad frame reaches through the affine layer
+        cfg = model.EncoderCfg("speech", frame_dim=5, hidden_dim=4, out_dim=6)
+        _, view = self._views(cfg)
+        frames = np.random.default_rng(2).normal(size=(3, 5))
+        frames[1, 2] = np.nan
+        with pytest.raises(ValueError, match="mish: non-finite input"):
+            model.encoder_forward(cfg, view, frames, _one(frames))
+
     def test_empty_sequence_propagates(self):
         cfg = model.EncoderCfg("text", frame_dim=3, hidden_dim=3, out_dim=2)
         _, view = self._views(cfg)

@@ -201,6 +201,15 @@ class TestBackward:
             nm.add(nm.tensor(np.ones(3)), nm.tensor(np.ones(4)))
 
 
+class TestCccColumns:
+    def test_near_zero_denominator_names_the_column(self):
+        # column 1: x constant, y moving by 1e-9, so var_y + gap^2 = 5e-19
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
+        y = np.array([[1.0, 0.0], [2.0, 1e-9]])
+        with pytest.raises(ValueError, match="degenerate CCC in column 1"):
+            nm.ccc_columns(x, y)
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = nm.ParamStore()

@@ -240,11 +240,11 @@ class TestStage2:
 
     def test_missing_tensor_rejected(self, tiny_records, stage1_pair):
         speech, text = stage1_pair
-        broken = Checkpoint(
-            tensors={k: v for k, v in speech.tensors.items() if k != "speech.att.v"},
-            metadata=speech.metadata,
-        )
         with pytest.raises(ValueError, match="speech.att.v"):
+            broken = Checkpoint(
+                tensors={k: v for k, v in speech.tensors.items() if k != "speech.att.v"},
+                metadata=speech.metadata,
+            )
             train_stage2(self._cfg(), broken, text, tiny_records)
 
     def test_sources_recorded(self, tiny_records, stage1_pair):
