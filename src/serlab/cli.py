@@ -2,9 +2,10 @@
 
 Subcommands: gen-synth, train-stage1, train-stage2, predict, evaluate,
 analyze (bins|stats|compare), llm (prompt|run|score), sweep (table1|table2),
-and replay.  Every artifact-producing command writes a run manifest with
-input/output hashes; ``replay`` checks a manifest's inputs are unchanged,
-re-executes it and verifies the outputs reproduce byte-for-byte.
+and replay.  A command's outputs land together, and only if it succeeds,
+followed by a run manifest with their hashes and those of the inputs it
+parsed; ``replay`` checks a manifest's inputs are unchanged, re-executes it
+and verifies the outputs reproduce byte-for-byte.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -71,32 +71,33 @@ def _with_config(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in load_config_file(path).items()]
-    words = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    words = _command_words(argv)
     return argv[:words] + flags + argv[words:]
+
+
+def _command_words(argv: list[str]) -> int:
+    """How many words name the command: those before the first flag."""
+    return next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
 
 
 # ---------------------------------------------------------------------------
 # manifests
 
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_manifest(manifest_path, command: str, argv: list[str], outputs: list, seed=None) -> None:
-    """The run's manifest.  Its inputs are the files the command has parsed,
-    each with the hash of the bytes parsed (``dataio.recorded_reads``)."""
+def write_manifest(args, argv: list[str]) -> None:
+    """The run's manifest, ``<--out>.manifest.json`` (``<--out>/manifest.json``
+    for gen-synth).  Its inputs are the files the command parsed
+    (``dataio.recorded_reads``) and its outputs the files it wrote
+    (``dataio.staged_writes``), each with the hash of its bytes."""
+    out = args.out
+    path = Path(out) / "manifest.json" if args.command == "gen-synth" else f"{out}.manifest.json"
     doc = {
-        "command": command,
+        "command": " ".join(argv[:_command_words(argv)]),
         "argv": list(argv),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "inputs": dataio.recorded_reads(),
-        "outputs": {str(p): _sha256_file(p) for p in outputs},
+        "outputs": dataio.staged_writes(),
     }
-    dataio.write_json(manifest_path, doc)
+    dataio.write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +193,12 @@ def _write_table(path, rows: list[str]) -> None:
 
 def _write_report(out_prefix, method: str, report: MetricsReport, extra: dict | None = None):
     out = Path(out_prefix)
-    csv_path = out.with_suffix(".csv")
-    json_path = out.with_suffix(".json")
-    _write_table(csv_path, [report.csv_row(method)])
+    _write_table(out.with_suffix(".csv"), [report.csv_row(method)])
     doc = report.to_dict()
     doc["method"] = method
     if extra:
         doc.update(extra)
-    dataio.write_json(json_path, doc)
-    return [csv_path, json_path]
+    dataio.write_json(out.with_suffix(".json"), doc)
 
 
 def _attribute_column(preds: PredictionSet, attribute: str) -> tuple[list[str], list[float]]:
@@ -225,17 +223,14 @@ def _given_fields(cls, args) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _cmd_gen_synth(args, argv) -> int:
+def _cmd_gen_synth(args) -> None:
     cfg = dataio.SynthConfig(**_given_fields(dataio.SynthConfig, args))
     records = dataio.gen_synthetic(cfg)
-    paths = dataio.write_dataset(args.out, records)
-    write_manifest(Path(args.out) / "manifest.json", "gen-synth", argv, list(paths.values()),
-                   seed=cfg.seed)
+    dataio.write_dataset(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")
-    return 0
 
 
-def _cmd_train(args, argv) -> int:
+def _cmd_train(args) -> None:
     cfg = TrainConfig(**_given_fields(TrainConfig, args))
     records = _load_records(args.data, (cfg.modality,) if cfg.stage == 1 else model.MODALITIES)
     if cfg.stage == 1:
@@ -245,35 +240,28 @@ def _cmd_train(args, argv) -> int:
         text_ckpt = Checkpoint.load(args.text_ckpt)
         ckpt = trainer.train_stage2(cfg, speech_ckpt, text_ckpt, records, log_path=args.log)
     ckpt.save(args.out)
-    outputs = [args.out] + ([args.log] if args.log else [])
-    write_manifest(str(args.out) + ".manifest.json", args.command, argv, outputs, seed=cfg.seed)
     kind = cfg.modality if cfg.stage == 1 else cfg.fusion
     print(f"stage-{cfg.stage} {kind}/{cfg.task} best dev: {ckpt.metadata['dev_metrics']}")
-    return 0
 
 
-def _cmd_predict(args, argv) -> int:
+def _cmd_predict(args) -> None:
     ckpt = Checkpoint.load(args.ckpt)
     records = _load_records(args.data, list(trainer._encoder_cfgs(ckpt.metadata)), args.split)
     preds = trainer.predict(ckpt, records, clamp=not args.no_clamp)
     dataio.write_predictions(args.out, preds)
-    write_manifest(str(args.out) + ".manifest.json", "predict", argv, [args.out])
     print(f"wrote {len(preds.ids)} predictions to {args.out}")
-    return 0
 
 
-def _cmd_evaluate(args, argv) -> int:
+def _cmd_evaluate(args) -> None:
     preds = dataio.read_predictions(args.pred)
     truth = _labels_by_id(args.labels, args.split)
     report = _build_report(preds, truth)
-    outputs = _write_report(args.out, args.method, report)
-    write_manifest(str(args.out) + ".manifest.json", "evaluate", argv, outputs)
+    _write_report(args.out, args.method, report)
     print(metrics.csv_header())
     print(report.csv_row(args.method))
-    return 0
 
 
-def _cmd_analyze_bins(args, argv) -> int:
+def _cmd_analyze_bins(args) -> None:
     preds = dataio.read_predictions(args.pred)
     truth = _labels_by_id(args.labels, args.split)
     ids, pred_col = _attribute_column(preds, args.attribute)
@@ -286,14 +274,12 @@ def _cmd_analyze_bins(args, argv) -> int:
         "overall_ccc": metrics.ccc(pred_col, truth_col),
     }
     dataio.write_json(args.out, doc)
-    write_manifest(str(args.out) + ".manifest.json", "analyze bins", argv, [args.out])
     for b in bins:
         value = "insufficient" if b.ccc is None else f"{b.ccc:.4f}"
         print(f"{b.label}: {value} (n={b.count})")
-    return 0
 
 
-def _cmd_analyze_stats(args, argv) -> int:
+def _cmd_analyze_stats(args) -> None:
     preds = dataio.read_predictions(args.pred)
     ids, pred_col = _attribute_column(preds, args.attribute)
     mean, std = metrics.prediction_stats(pred_col)
@@ -312,11 +298,9 @@ def _cmd_analyze_stats(args, argv) -> int:
         print(f"truth:      {metrics.format_mean_std(tmean, tstd)}")
     if args.out:
         dataio.write_json(args.out, doc)
-        write_manifest(str(args.out) + ".manifest.json", "analyze stats", argv, [args.out])
-    return 0
 
 
-def _cmd_analyze_compare(args, argv) -> int:
+def _cmd_analyze_compare(args) -> None:
     preds_a = dataio.read_predictions(args.pred_a)
     preds_b = dataio.read_predictions(args.pred_b)
     truth = _labels_by_id(args.labels, args.split)
@@ -330,24 +314,21 @@ def _cmd_analyze_compare(args, argv) -> int:
     doc = report.to_dict()
     doc["attribute"] = args.attribute
     dataio.write_json(args.out, doc)
-    write_manifest(str(args.out) + ".manifest.json", "analyze compare", argv, [args.out])
     share = ", ".join(
         f"{c}: {report.improved_shares[c]:.1%} vs {report.full_shares[c]:.1%}"
         for c in metrics.EMOTION_CODES
     )
     print(f"improved {report.improved_count}/{report.total} samples; shares: {share}")
-    return 0
 
 
-def _cmd_llm_prompt(args, argv) -> int:
+def _cmd_llm_prompt(args) -> None:
     if args.task == "categorical":
         print(llmproto.build_categorical_prompt(args.transcript))
     else:
         print(llmproto.build_attribute_prompt(args.transcript))
-    return 0
 
 
-def _cmd_llm_run(args, argv) -> int:
+def _cmd_llm_run(args) -> None:
     rows = dataio.csv_rows(args.transcripts, ["id", "transcript"])
     items = [(rid, transcript) for _, (rid, transcript) in rows]
     endpoint = llmproto.LlmEndpointConfig(
@@ -360,31 +341,26 @@ def _cmd_llm_run(args, argv) -> int:
     )
     report = llmproto.run_llm_eval(endpoint, args.task, items)
     dataio.write_predictions(args.out, report.predictions)
-    failures_path = Path(str(args.out) + ".failures.json")
-    dataio.write_json(failures_path, {
+    dataio.write_json(f"{args.out}.failures.json", {
         "failures": report.failures, "failure_count": report.failure_count,
         "cache_hits": report.cache_hits, "requests_made": report.requests_made,
     })
-    write_manifest(str(args.out) + ".manifest.json", "llm run", argv, [args.out, failures_path])
     print(
         f"{len(report.predictions.ids)} parsed, {report.failure_count} failures, "
         f"{report.cache_hits} cache hits, {report.requests_made} requests"
     )
-    return 0
 
 
-def _cmd_llm_score(args, argv) -> int:
+def _cmd_llm_score(args) -> None:
     preds = dataio.read_predictions(args.pred)
     truth = _labels_by_id(args.labels, args.split)
     scored_ids = set(preds.labels) | set(preds.attributes)
     excluded = sorted(rid for rid in truth if rid not in scored_ids)
     report = _build_report(preds, truth)
     extra = {"excluded_count": len(excluded), "excluded_ids": excluded}
-    outputs = _write_report(args.out, args.method, report, extra=extra)
-    write_manifest(str(args.out) + ".manifest.json", "llm score", argv, outputs)
+    _write_report(args.out, args.method, report, extra=extra)
     print(report.csv_row(args.method))
     print(f"excluded {len(excluded)} unscored ids")
-    return 0
 
 
 TABLE1_ROWS = (
@@ -444,7 +420,7 @@ def _table1_row(job) -> str:
     return combined.csv_row(method)
 
 
-def _cmd_sweep_table1(args, argv) -> int:
+def _cmd_sweep_table1(args) -> None:
     opts = _sweep_data(args, model.MODALITIES)
     opts.update({
         "seed": args.seed,
@@ -455,8 +431,6 @@ def _cmd_sweep_table1(args, argv) -> int:
     })
     jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
     _write_table(args.out, _run_sweep_rows(jobs, _table1_row, args.parallel))
-    write_manifest(str(args.out) + ".manifest.json", "sweep table1", argv, [args.out], seed=args.seed)
-    return 0
 
 
 def _table2_row(job) -> str:
@@ -472,7 +446,7 @@ def _table2_row(job) -> str:
     return _build_report(preds, opts["truth"]).csv_row(method)
 
 
-def _cmd_sweep_table2(args, argv) -> int:
+def _cmd_sweep_table2(args) -> None:
     opts = _sweep_data(args, (args.modality,))
     opts.update({
         "seed": args.seed, "modality": args.modality, "batch_size": args.batch_size,
@@ -480,13 +454,12 @@ def _cmd_sweep_table2(args, argv) -> int:
     })
     jobs = [(method, loss, sampler, gamma, opts) for method, loss, sampler, gamma in TABLE2_ROWS]
     _write_table(args.out, _run_sweep_rows(jobs, _table2_row, args.parallel))
-    write_manifest(str(args.out) + ".manifest.json", "sweep table2", argv, [args.out], seed=args.seed)
-    return 0
 
 
 def _differing(hashes: dict[str, str]) -> list[str]:
     """The paths in ``hashes`` that are missing or whose bytes changed."""
-    return [p for p, digest in hashes.items() if not Path(p).exists() or _sha256_file(p) != digest]
+    return [p for p, digest in hashes.items()
+            if not Path(p).exists() or dataio.sha256_file(p) != digest]
 
 
 def _read_manifest(path) -> dict:
@@ -503,7 +476,7 @@ def _read_manifest(path) -> dict:
     return doc
 
 
-def _cmd_replay(args, argv) -> int:
+def _cmd_replay(args) -> None:
     doc = _read_manifest(args.manifest)
     changed = _differing(doc["inputs"])
     if changed:
@@ -515,7 +488,6 @@ def _cmd_replay(args, argv) -> int:
     if mismatched:
         raise RuntimeError(f"replay outputs differ from manifest: {mismatched}")
     print(f"replay reproduced {len(doc['outputs'])} outputs byte-for-byte")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +542,7 @@ def build_parser() -> _Parser:
                    help="8 semicolon-separated a,v,d triples")
     p.add_argument("--split-fractions", type=_float_list, default=None,
                    help="train,dev,test1 fractions")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_gen_synth)
 
@@ -697,11 +669,29 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _check_out_dirs(args) -> None:
+    """The directory of each ``--out`` and ``--log`` path exists, checked
+    before the command runs."""
+    if args.command == "gen-synth":  # it makes its --out directory
+        return
+    for flag in ("out", "log"):
+        path = getattr(args, flag, None)
+        if path and not Path(path).parent.is_dir():
+            parent = str(Path(path).parent)
+            raise UsageError(f"--{flag} {path}: directory {parent!r} does not exist")
+
+
 def cli_dispatch(argv: list[str]) -> int:
+    """Run one command.  Its outputs land together once it succeeds, with
+    its manifest last; if it fails, none lands and earlier files stay."""
     try:
-        with dataio.recording_reads():
+        with dataio.recording_reads(), dataio.staging_writes():
             args = _parser().parse_args(_with_config(list(argv)))
-            return args.func(args, list(argv))
+            _check_out_dirs(args)
+            args.func(args)
+            if dataio.staged_writes():
+                write_manifest(args, list(argv))
+        return 0
     except (UsageError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -17,8 +17,11 @@ atomic: the target keeps its old content unless the new one was written in
 full.
 
 Every input reader reads its file once and, inside a ``recording_reads``
-block, records ``str(path) -> sha256`` of the bytes it parsed.  A command's
-manifest inputs are that record: exactly the files the command parsed.
+block, records ``str(path) -> sha256`` of the bytes it parsed.  Every writer
+goes through ``atomic_write``, which inside a ``staging_writes`` block
+records ``str(path) -> sha256`` of the bytes it wrote and holds them back
+until the block completes.  A command's manifest inputs and outputs are
+these two records: exactly the files it parsed and the files it wrote.
 
 ``load_dataset(data_dir, modalities)`` parses ``labels.csv`` and the FEMB
 file of each modality its caller's model reads, and opens no other file: a
@@ -190,25 +193,72 @@ class _Reader:
 # ---------------------------------------------------------------------------
 # atomic writes
 
+# (str(path), temporary file, sha256) of each write held back, in write order
+_staged: ContextVar[list[tuple[str, Path, str]] | None] = ContextVar("serlab_staged", default=None)
+
+
+@contextmanager
+def staging_writes() -> Iterator[None]:
+    """Hold back every ``atomic_write`` inside the block, so that its files
+    land together: each replaces its target, in write order, when the block
+    completes, and none does if it fails.
+
+    A failed block removes every temporary file.  Blocks nest: an inner
+    block lands its own files when it completes, and the outer one does not
+    see them.
+    """
+    staged: list[tuple[str, Path, str]] = []
+    token = _staged.set(staged)
+    try:
+        yield
+        for path, tmp, _ in staged:
+            os.replace(tmp, path)
+    finally:
+        _staged.reset(token)
+        for _, tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def staged_writes() -> dict[str, str]:
+    """The innermost ``staging_writes`` block's ``str(path) -> sha256`` of
+    every file written so far; empty outside one."""
+    return {path: digest for path, _, digest in _staged.get() or ()}
+
+
 @contextmanager
 def atomic_write(path, binary: bool = False) -> Iterator[IO]:
     """A file whose content replaces ``path`` only if the block completes.
 
     The content goes to a temporary file in the target's directory, which
     ``os.replace`` then moves over ``path``; on any error the temporary file
-    is removed and ``path`` is left as it was.  Text is UTF-8 with ``\n``
+    is removed and ``path`` is left as it was.  Inside a ``staging_writes``
+    block the replace waits for that block, and the file is recorded as
+    ``str(path)`` with the sha256 of its bytes.  Text is UTF-8 with ``\n``
     line ends.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    staged = _staged.get()
     try:
         with open(tmp, "xb" if binary else "x", **text) as f:
             yield f
-        os.replace(tmp, target)
+        if staged is None:
+            os.replace(tmp, target)
+        else:
+            staged.append((str(path), tmp, sha256_file(tmp)))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def sha256_file(path) -> str:
+    """The sha256 of a file's bytes, read in 64 KiB chunks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_json(path, doc) -> None:
@@ -444,20 +494,20 @@ class SynthConfig:
         lo, hi = self.frame_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad frame range {self.frame_range}")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be > 0")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
+        if not 0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
         a = np.asarray(self.anchors, dtype=np.float64)
         if a.shape != (8, 3):
             raise ValueError(f"anchors must be 8 x 3, got shape {a.shape}")
         rlo, rhi = ATTRIBUTE_RANGE
-        if a.min() < rlo or a.max() > rhi:
-            raise ValueError(f"anchors must lie in [{rlo:g}, {rhi:g}]")
+        if not rlo <= a.min() <= a.max() <= rhi:  # NaN fails every comparison
+            raise ValueError(f"anchors must be finite and lie in [{rlo:g}, {rhi:g}]")
         object.__setattr__(self, "anchors", a)
         fr = self.split_fractions
-        if len(fr) != 3 or any(x < 0 for x in fr) or abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError("split_fractions must be 3 non-negative values summing to 1")
+        if len(fr) != 3 or not all(0 <= x <= 1 for x in fr) or abs(sum(fr) - 1.0) > 1e-9:
+            raise ValueError("split_fractions must be 3 finite, non-negative values summing to 1")
 
 
 def _unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:

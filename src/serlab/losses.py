@@ -41,8 +41,8 @@ class FocalConfig:
     alpha: np.ndarray = field(default_factory=lambda: np.ones(NUM_CLASSES))
 
     def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise ValueError("FocalConfig: gamma must be >= 0")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"FocalConfig: gamma must be finite and >= 0, got {self.gamma}")
         a = np.asarray(self.alpha, dtype=np.float64)
         if a.shape != (NUM_CLASSES,):
             raise ValueError(f"FocalConfig: alpha must have {NUM_CLASSES} entries")

@@ -83,6 +83,9 @@ class TrainConfig:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate < 0:
             raise ValueError("batch_size/epochs must be >= 1 and learning_rate >= 0")
+        for field in ("learning_rate", "focal_gamma"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if self.loss == "ccc_loss" and self.batch_size < 2:
             raise ValueError(f"ccc_loss needs batch_size >= 2, got {self.batch_size}")
 

@@ -17,6 +17,14 @@ from serlab.trainer import Checkpoint
 from helpers import MockChatServer
 
 
+@pytest.fixture(autouse=True)
+def no_temporary_files_left(tmp_path):
+    """Fails a test that leaves an ``atomic_write`` temporary file behind."""
+    yield
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob(".*.tmp"))
+    assert not left, f"temporary files left behind: {left}"
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "data"
@@ -869,3 +877,99 @@ class TestLlmCommands:
         assert code == 1
         assert f"{transcripts}: line 3: duplicate id 'u1'" in capsys.readouterr().err
         assert server.requests == []
+
+
+def _bytes_under(root: Path) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOutputsLandTogether:
+    def _train(self, dataset, tmp_path, epochs="2", out="s.fckp"):
+        return ["train-stage1", "--data", str(dataset), "--modality", "text",
+                "--task", "categorical", "--lr", "0.01", "--epochs", epochs, "--seed", "3",
+                "--out", str(tmp_path / out), "--log", str(tmp_path / "s.jsonl")]
+
+    def test_missing_out_directory_fails_before_training(self, dataset, tmp_path, capsys,
+                                                         monkeypatch):
+        assert cli_dispatch(self._train(dataset, tmp_path)) == 0
+        before = _bytes_under(tmp_path)
+        trained = []
+        monkeypatch.setattr(trainer, "train_stage1", lambda *a, **k: trained.append(a))
+        missing = str(tmp_path / "missing" / "s.fckp")
+        capsys.readouterr()
+        assert cli_dispatch(self._train(dataset, tmp_path, "3", "missing/s.fckp")) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --out {missing}: directory "
+                       f"{str(tmp_path / 'missing')!r} does not exist\n")
+        assert trained == []
+        assert _bytes_under(tmp_path) == before
+
+    def test_missing_log_directory_fails_before_training(self, dataset, tmp_path, capsys):
+        argv = self._train(dataset, tmp_path)
+        argv[-1] = str(tmp_path / "logs" / "s.jsonl")
+        assert cli_dispatch(argv) == 1
+        assert f"error: --log {argv[-1]}: directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_checkpoint_write_keeps_every_previous_output(self, dataset, tmp_path,
+                                                                 monkeypatch):
+        assert cli_dispatch(self._train(dataset, tmp_path)) == 0
+        before = _bytes_under(tmp_path)
+        assert len(before) == 3  # checkpoint, log, manifest
+
+        def failing_write(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio, "write_checkpoint", failing_write)
+        assert cli_dispatch(self._train(dataset, tmp_path, "3")) == 2
+        assert _bytes_under(tmp_path) == before
+
+    def test_failed_report_json_keeps_the_previous_csv(self, dataset, stage1_ckpts, tmp_path,
+                                                       monkeypatch):
+        preds, report = tmp_path / "p.csv", tmp_path / "rep"
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(dataset),
+                             "--out", str(preds)]) == 0
+        argv = ["evaluate", "--pred", str(preds), "--labels", str(dataset / "labels.csv"),
+                "--out", str(report)]
+        assert cli_dispatch(argv + ["--method", "first"]) == 0
+        before = _bytes_under(tmp_path)
+
+        def failing_json(path, doc):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio, "write_json", failing_json)
+        assert cli_dispatch(argv + ["--method", "second"]) == 2
+        assert _bytes_under(tmp_path) == before
+
+    def test_failed_manifest_lands_no_output(self, dataset, stage1_ckpts, tmp_path, monkeypatch):
+        from serlab import cli
+
+        def failing_manifest(args, argv):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_manifest", failing_manifest)
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(dataset),
+                             "--out", str(preds)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["gen-synth", "--separation", "nan"],
+        ["gen-synth", "--separation", "inf"],
+        ["gen-synth", "--noise-sigma", "inf"],
+        ["gen-synth", "--split-fractions", "nan,0.5,0.5"],
+        ["gen-synth", "--anchors", ";".join(["nan,4,4"] + ["4,4,4"] * 7)],
+        ["train-stage1", "--lr", "nan"],
+        ["train-stage1", "--lr", "inf"],
+        ["train-stage1", "--focal-gamma", "nan"],
+        ["train-stage1", "--focal-gamma", "inf"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_non_finite_number_is_validation_error(self, dataset, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        if flags[0] == "gen-synth":
+            argv = flags + ["--class-counts", ",".join(["4"] * 8)]
+        else:
+            argv = self._train(dataset, tmp_path)[:-4] + flags[1:]
+        assert cli_dispatch(argv + ["--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -148,6 +148,11 @@ class TestFocalLoss:
         with pytest.raises(ValueError, match="weights must be finite"):
             losses.ClassWeights(entries)
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    def test_non_finite_gamma_rejected_when_built(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            losses.FocalConfig(gamma=gamma)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_gamma_zero_identity_property(self, seed):
