@@ -379,8 +379,10 @@ TABLE2_ROWS = (
 def _run_sweep_rows(jobs, run_one, parallel: int) -> list[str]:
     """Row CSV lines in job order; rows fan out to processes when asked.
 
-    Each row is an independent deterministic run sharing nothing mutable,
-    so process-level parallelism cannot change its output.
+    Each row is a deterministic run.  What rows share is frozen concat rows,
+    reused only for the same encoders and chunk, so a reused row has the
+    bytes a fresh encode gives, and process-level parallelism cannot change
+    a row's output.
     """
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -430,7 +432,9 @@ def _cmd_sweep_table1(args) -> None:
         "lr": args.lr, "epochs": args.epochs,
     })
     jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
-    _write_table(args.out, _run_sweep_rows(jobs, _table1_row, args.parallel))
+    with trainer.sharing_frozen_rows():  # its concat runs encode each chunk once
+        rows = _run_sweep_rows(jobs, _table1_row, args.parallel)
+    _write_table(args.out, rows)
 
 
 def _table2_row(job) -> str:

@@ -230,8 +230,8 @@ def binned_ccc(pred: Sequence[float], truth: Sequence[float], edges: Sequence[fl
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"expected equal-length 1-D inputs, got {x.shape} and {y.shape}")
     e = [float(v) for v in edges]
-    if len(e) < 2 or any(a >= b for a, b in zip(e, e[1:])):
-        raise ValueError(f"edges must be strictly increasing with >= 2 entries, got {e}")
+    if len(e) < 2 or not np.isfinite(e).all() or any(a >= b for a, b in zip(e, e[1:])):
+        raise ValueError(f"edges must be finite and strictly increasing with >= 2 entries, got {e}")
     results = []
     last = len(e) - 2
     for i in range(len(e) - 1):

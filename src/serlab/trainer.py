@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -473,9 +474,10 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
     Stage 1 freezes nothing, so this only picks each record's frames.  In
     stage 2 it runs the frozen encoders once per modality over the packed
     batch: for concat fusion the whole encoders, giving B x F rows, speech
-    first; for cross-attention the frame layers, giving each modality's
-    packed per-frame hiddens with their ``Segments``, speech first.  Records
-    are assumed to pass ``_check_inputs``.
+    first, through a ``FrozenRows``; for cross-attention the frame layers,
+    giving each modality's packed per-frame hiddens with their
+    ``Segments``, speech first.  Records are assumed to pass
+    ``_check_inputs``.
     """
     cfgs = _encoder_cfgs(meta)
     if meta["stage"] == 1:
@@ -483,15 +485,7 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
         return lambda records: [_modality_features(r, modality) for r in records]
     views = {modality: params.view(f"{modality}.") for modality in model.MODALITIES}
     if meta["fusion"] == "concat":
-
-        def frozen(records: Sequence[UtteranceRecord]) -> np.ndarray:
-            parts = []
-            for modality in model.MODALITIES:
-                frames, segments = model.pack([_modality_features(r, modality) for r in records])
-                parts.append(model.encoder_forward(cfgs[modality], views[modality], frames, segments))
-            return nm.concat(parts, axis=1).data
-
-        return frozen
+        return FrozenRows(cfgs, views)
 
     def hiddens(records: Sequence[UtteranceRecord]) -> list:
         out = []
@@ -503,19 +497,74 @@ def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[Uttera
     return hiddens
 
 
-def _rows_by_id(
-    frozen: Callable[[Sequence[UtteranceRecord]], np.ndarray],
-    splits: Sequence[Sequence[UtteranceRecord]],
-    chunk: int,
-) -> Callable[[Sequence[UtteranceRecord]], np.ndarray]:
-    """``frozen`` run once over each split, ``chunk`` records at a time, as
-    a lookup of its rows by record id."""
-    rows: dict[str, np.ndarray] = {}
-    for records in splits:
-        for start in range(0, len(records), chunk):
-            part = records[start:start + chunk]
-            rows.update(zip((r.id for r in part), frozen(part)))
-    return lambda records: np.stack([rows[r.id] for r in records])
+# (encoder tensors' sha256, a chunk's record ids) -> the chunk's concat rows,
+# shared by every model built inside a ``sharing_frozen_rows`` block
+_shared_rows: ContextVar[dict | None] = ContextVar("serlab_frozen_rows", default=None)
+
+
+@contextmanager
+def sharing_frozen_rows() -> Iterator[None]:
+    """Share concat fusion's frozen rows between every model built inside
+    the block: a chunk of records is encoded once per pair of encoders, and
+    each later run that reads the same chunk through the same encoders
+    reuses its rows, bytes and all.
+
+    Inside one block a record id names one record's features.  Blocks nest:
+    an inner block keeps its own rows.
+    """
+    token = _shared_rows.set({})
+    try:
+        yield
+    finally:
+        _shared_rows.reset(token)
+
+
+class FrozenRows:
+    """Concat fusion's frozen part: the frozen encoders' B x F rows for a
+    chunk of records, speech first, encoded only on a miss.
+
+    Rows are kept by the encoder tensors' sha256 plus the chunk's exact
+    record ids, never by record alone: a row's last bits depend on the chunk
+    it was encoded in.  Inside a ``sharing_frozen_rows`` block the model
+    keeps them in the block's store, otherwise in a store of its own.
+    """
+
+    def __init__(self, cfgs: Mapping[str, model.EncoderCfg], views: Mapping[str, dict]) -> None:
+        self.cfgs, self.views = cfgs, views
+        h = hashlib.sha256()
+        for modality in model.MODALITIES:
+            for name in sorted(views[modality]):
+                data = views[modality][name].data
+                h.update(f"{modality}.{name}{data.shape}".encode("utf-8"))
+                h.update(data.tobytes())
+        self.encoders = h.hexdigest()
+        shared = _shared_rows.get()
+        self.store = {} if shared is None else shared
+
+    def __call__(self, records: Sequence[UtteranceRecord]) -> np.ndarray:
+        key = (self.encoders, tuple(r.id for r in records))
+        rows = self.store.get(key)
+        if rows is None:
+            parts = []
+            for modality in model.MODALITIES:
+                frames, segments = model.pack([_modality_features(r, modality) for r in records])
+                parts.append(model.encoder_forward(self.cfgs[modality], self.views[modality],
+                                                   frames, segments))
+            rows = self.store[key] = nm.concat(parts, axis=1).data
+            rows.flags.writeable = False  # read by every model that shares it
+        return rows
+
+    def by_id(
+        self, splits: Sequence[Sequence[UtteranceRecord]], chunk: int
+    ) -> Callable[[Sequence[UtteranceRecord]], np.ndarray]:
+        """A frozen part that reads any batch of the ``splits``' records row
+        by row, each row as encoded in its split's ``chunk``-record chunks."""
+        rows: dict[str, np.ndarray] = {}
+        for records in splits:
+            for start in range(0, len(records), chunk):
+                part = records[start:start + chunk]
+                rows.update(zip((r.id for r in part), self(part)))
+        return lambda records: np.stack([rows[r.id] for r in records])
 
 
 @dataclass(frozen=True)
@@ -655,7 +704,9 @@ def train_stage2(
     Encoder tensors are loaded untrainable and never touched by the
     optimizer; only head (and cross-attention projection) parameters move.
     Concat fusion encodes train and dev once, each in chunks of the batch
-    size as dev evaluation chunks, and every step reads those rows.
+    size as dev evaluation chunks, and every step reads those rows; inside a
+    ``sharing_frozen_rows`` block, a chunk another run encoded is not
+    encoded again.
     """
     if cfg.stage != 2:
         raise ValueError(f"train_stage2 requires cfg.stage == 2, got {cfg.stage}")
@@ -687,7 +738,7 @@ def train_stage2(
 
     net = build_model(metadata, params)
     if cfg.fusion == "concat":
-        net = replace(net, frozen=_rows_by_id(net.frozen, (train, dev), cfg.batch_size))
+        net = replace(net, frozen=net.frozen.by_id((train, dev), cfg.batch_size))
     return _run_epochs(cfg, metadata, params, net, train, dev, log_path)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serlab import dataio, trainer
+from serlab import dataio, model, trainer
 from serlab.cli import cli_dispatch, load_config_file
 from serlab.dataio import LabelRow, PredictionSet, write_labels, write_predictions
 from serlab.trainer import Checkpoint
@@ -499,6 +499,23 @@ class TestExitCodes:
         assert "1e-5" in text and "5e-6" in text
         assert "20 stage 1" in text and "5 stage 2" in text
 
+    @pytest.mark.parametrize("edges", ["nan,3,5,7", "1,3,5,inf", "-inf,3,5,7"])
+    def test_non_finite_bin_edges_exit_1(self, tmp_path, capsys, edges):
+        labels = [LabelRow(f"u{i}", "test1", "A", (1.5 + i, 2.0, 4.0)) for i in range(4)]
+        labels_path, pred_path = tmp_path / "labels.csv", tmp_path / "preds.csv"
+        write_labels(labels_path, labels)
+        preds = PredictionSet(task="attributes")
+        for row in labels:
+            preds.add_attributes(row.id, row.attributes)
+        write_predictions(pred_path, preds)
+        out = tmp_path / "bins.json"
+        assert cli_dispatch(
+            ["analyze", "bins", "--pred", str(pred_path), "--labels", str(labels_path),
+             "--attribute", "valence", f"--edges={edges}", "--out", str(out)]
+        ) == 1
+        assert "edges must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv", "preds.csv"]
+
 
 class TestConfigFiles:
     def test_key_value_parsing(self, tmp_path):
@@ -735,6 +752,26 @@ class TestSweeps:
         assert cli_dispatch(base + ["--out", str(seq)]) == 0
         assert cli_dispatch(base + ["--parallel", "2", "--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_table1_encodes_each_chunk_once(self, dataset, stage1_ckpts, tmp_path, monkeypatch):
+        # the four concat runs read train and dev in chunks of the batch size
+        # and predict test1 in the same chunks: one encode per chunk and modality
+        speech, text = stage1_ckpts
+        real_forward, calls = model.encoder_forward, []
+
+        def counting_forward(cfg, *rest):
+            calls.append(cfg.modality)
+            return real_forward(cfg, *rest)
+
+        monkeypatch.setattr(model, "encoder_forward", counting_forward)
+        assert cli_dispatch(
+            ["sweep", "table1", "--data", str(dataset), "--speech-ckpt", str(speech),
+             "--text-ckpt", str(text), "--seed", "3", "--lr", "0.005", "--epochs", "2",
+             "--batch-size", "16", "--split", "test1", "--out", str(tmp_path / "table1.csv")]
+        ) == 0
+        splits = [row.split for row in dataio.read_labels(dataset / "labels.csv")]
+        chunks = sum(-(-splits.count(split) // 16) for split in dataio.SPLITS)
+        assert sorted(calls) == ["speech"] * chunks + ["text"] * chunks
 
     def test_table1_schema(self, dataset, stage1_ckpts, tmp_path):
         speech, text = stage1_ckpts

@@ -166,6 +166,12 @@ class TestBinnedCcc:
         with pytest.raises(ValueError, match="increasing"):
             binned_ccc([1.0, 2.0], [1.0, 2.0], [3, 3])
 
+    @pytest.mark.parametrize("edges", [[float("nan"), 3, 5, 7], [1, 3, 5, float("inf")],
+                                       [float("-inf"), 3, 5, 7]])
+    def test_non_finite_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="finite"):
+            binned_ccc([1.0, 2.0], [1.0, 2.0], edges)
+
 
 class TestPredictionStats:
     def test_constant(self):

@@ -26,6 +26,7 @@ from serlab.trainer import (
     build_model,
     frozen_tensor_hashes,
     predict,
+    sharing_frozen_rows,
     train_stage1,
     train_stage2,
 )
@@ -246,6 +247,23 @@ class TestStage2:
                 metadata=speech.metadata,
             )
             train_stage2(self._cfg(), broken, text, tiny_records)
+
+    def test_shared_rows_keep_each_source_pairs_bytes(self, tiny_records, stage1_pair):
+        # both pairs encode the same chunks of the same records; only the
+        # encoder tensors tell their rows apart
+        other = (train_stage1(_quick_cfg(seed=41, epochs=1), tiny_records),
+                 train_stage1(_quick_cfg(modality="text", seed=42, epochs=1), tiny_records))
+
+        def run(speech, text):
+            ckpt = train_stage2(self._cfg(epochs=1), speech, text, tiny_records)
+            preds = predict(ckpt, tiny_records, clamp=False)
+            return ckpt.content_id, preds.attributes
+
+        alone = [run(*pair) for pair in (stage1_pair, other)]
+        with sharing_frozen_rows():
+            shared = [run(*pair) for pair in (stage1_pair, other)]
+        assert alone[0] != alone[1]
+        assert shared == alone
 
     def test_sources_recorded(self, tiny_records, stage1_pair):
         speech, text = stage1_pair
