@@ -5,7 +5,7 @@ analyze (bins|stats|compare), llm (prompt|run|score), sweep (table1|table2),
 and replay.  A command's outputs land together, and only if it succeeds,
 followed by a run manifest with their hashes and those of the inputs it
 parsed; ``replay`` checks a manifest's inputs are unchanged, re-executes it
-and verifies the outputs reproduce byte-for-byte.
+and verifies the outputs reproduce byte-for-byte, landing nothing.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 
@@ -485,10 +485,11 @@ def _cmd_replay(args) -> None:
     changed = _differing(doc["inputs"])
     if changed:
         raise RuntimeError(f"replay inputs missing or changed since the manifest: {changed}")
-    code = cli_dispatch(doc["argv"])
+    with dataio.withholding_writes() as produced:
+        code = cli_dispatch(doc["argv"])
     if code != 0:
         raise RuntimeError(f"replayed command exited with code {code}")
-    mismatched = _differing(doc["outputs"])
+    mismatched = [p for p, digest in doc["outputs"].items() if produced.get(p) != digest]
     if mismatched:
         raise RuntimeError(f"replay outputs differ from manifest: {mismatched}")
     print(f"replay reproduced {len(doc['outputs'])} outputs byte-for-byte")

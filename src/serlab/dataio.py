@@ -195,6 +195,8 @@ class _Reader:
 
 # (str(path), temporary file, sha256) of each write held back, in write order
 _staged: ContextVar[list[tuple[str, Path, str]] | None] = ContextVar("serlab_staged", default=None)
+# str(path) -> sha256 of every write inside a ``withholding_writes`` block
+_withheld: ContextVar[dict[str, str] | None] = ContextVar("serlab_withheld", default=None)
 
 
 @contextmanager
@@ -205,18 +207,37 @@ def staging_writes() -> Iterator[None]:
 
     A failed block removes every temporary file.  Blocks nest: an inner
     block lands its own files when it completes, and the outer one does not
-    see them.
+    see them.  Inside a ``withholding_writes`` block nothing lands.
     """
     staged: list[tuple[str, Path, str]] = []
     token = _staged.set(staged)
     try:
         yield
-        for path, tmp, _ in staged:
-            os.replace(tmp, path)
+        withheld = _withheld.get()
+        if withheld is not None:
+            withheld.update((path, digest) for path, _, digest in staged)
+        else:
+            for path, tmp, _ in staged:
+                os.replace(tmp, path)
     finally:
         _staged.reset(token)
         for _, tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def withholding_writes() -> Iterator[dict[str, str]]:
+    """A block in which no file lands: every ``staging_writes`` block inside
+    it that completes records its files' ``str(path) -> sha256`` in the
+    yielded map, and each of its temporary files is removed, as after a
+    failure.  An ``atomic_write`` outside any staging block is not held back.
+    """
+    withheld: dict[str, str] = {}
+    token = _withheld.set(withheld)
+    try:
+        yield withheld
+    finally:
+        _withheld.reset(token)
 
 
 def staged_writes() -> dict[str, str]:

@@ -6,9 +6,11 @@ affine projection.  That is enough structure to exercise the two-stage
 training scheme without transformer depth.
 
 A batch runs as one packed sequence: the frames of all its utterances in
-one (sum T) x D matrix plus their ``Segments``, with pooling written as
-products with the constant segment-indicator matrix and cross-attention as
-one ragged attention op.  A single utterance is a one-segment batch.
+one (sum T) x D matrix plus their ``Segments`` (lengths and offsets).  Each
+fully connected layer is one ``dense`` node, pooling is one ragged op
+(``segment_stat_pool`` or ``segment_mean``) and cross-attention one
+``segment_attention``, so a stage-1 step's graph does not grow with the
+batch.  A single utterance is a one-segment batch.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
-
-VAR_EPS = 1e-9
+from .numerics import VAR_EPS, Tensor
 
 FUSION_KINDS = ("concat", "cross_attention")
 ACTIVATIONS = ("mish", "relu")
@@ -67,15 +67,11 @@ class EncoderCfg:
 @dataclass(frozen=True, eq=False)
 class Segments:
     """Layout of a packed batch: B variable-length sequences stacked into one
-    (sum T) x D matrix, sequence b in the rows from ``offsets[b]`` on.
-
-    ``matrix`` is the constant 0/1 (B x sum T) segment indicator, so
-    ``matrix @ X`` sums each sequence's rows of X.
-    """
+    (sum T) x D matrix, sequence b in the ``lengths[b]`` rows from
+    ``offsets[b]`` on."""
 
     lengths: np.ndarray
     offsets: np.ndarray
-    matrix: np.ndarray
 
     @classmethod
     def of(cls, lengths: Sequence[int]) -> "Segments":
@@ -84,17 +80,7 @@ class Segments:
             raise ValueError("packed batch: no sequences")
         if np.any(n < 1):
             raise ValueError(f"packed batch: empty sequence at position {int(np.argmin(n))}")
-        matrix = np.zeros((n.size, int(n.sum())))
-        matrix[np.repeat(np.arange(n.size), n), np.arange(matrix.shape[1])] = 1.0
-        return cls(lengths=n, offsets=np.cumsum(n) - n, matrix=matrix)
-
-    @property
-    def total(self) -> int:
-        return self.matrix.shape[1]
-
-    def segment_max(self, x: np.ndarray) -> np.ndarray:
-        """Each entry of the packed vector ``x`` replaced by its sequence's max."""
-        return np.repeat(np.maximum.reduceat(x, self.offsets), self.lengths)
+        return cls(lengths=n, offsets=np.cumsum(n) - n)
 
 
 def pack(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, Segments]:
@@ -104,55 +90,25 @@ def pack(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, Segments]:
     return np.concatenate(seqs, axis=0, dtype=np.float64), Segments.of([len(s) for s in seqs])
 
 
-def _check_layout(H: Tensor, segments: Segments, op: str) -> None:
-    if H.data.ndim != 2:
-        raise ValueError(f"{op}: expected T x D input, got {H.shape}")
-    if segments.total != H.shape[0]:
-        raise ValueError(f"{op}: {H.shape[0]} rows for a packed batch of {segments.total}")
-
-
 # ---------------------------------------------------------------------------
 # pooling
 
-def attention_weights(
-    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments
-) -> Tensor:
-    """Per-frame attention weights from scores v . tanh(W h_t + b) + k,
-    a softmax within each sequence.
-
-    Scores are shifted by their sequence's max, held constant; each frame's
-    denominator is its sequence's sum, spread back over the frames by
-    ``(S @ e) @ S``.
-    """
-    _check_layout(H, segments, "attention_weights")
-    scores = nm.tanh(H @ W + b) @ v + k
-    e = nm.exp(scores - nm.Tensor(segments.segment_max(scores.data)))
-    S = nm.Tensor(segments.matrix)
-    return e / ((S @ e) @ S)
-
-
-def attentive_stat_pool(
-    H: Tensor, W: Tensor, b: Tensor, v: Tensor, k: Tensor, segments: Segments
-) -> Tensor:
+def attentive_stat_pool(H: Tensor, W: Tensor, b: Tensor, v: Tensor, segments: Segments) -> Tensor:
     """Attention-weighted mean and std over each sequence's frames,
     concatenated: B x 2D for a packed H.
 
-    The variance is clamped at zero and padded with VAR_EPS before the square
-    root so constant sequences stay differentiable.
+    Frame t's score is v . tanh(W h_t + b), and its weight the softmax of
+    the scores within its sequence.  The variance is clamped at zero and
+    padded with VAR_EPS before the square root so constant sequences stay
+    differentiable.
     """
-    _check_layout(H, segments, "attentive_stat_pool")
-    alpha = attention_weights(H, W, b, v, k, segments)
-    A = nm.Tensor(segments.matrix) * alpha  # row b holds sequence b's weights
-    mu = A @ H
-    m2 = A @ nm.square(H)
-    sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + VAR_EPS)
-    return nm.concat([mu, sigma], axis=1)
+    scores = nm.dense(H, W, b, "tanh") @ v
+    return nm.segment_stat_pool(H, scores, segments.offsets, segments.lengths)
 
 
 def mean_pool(H: Tensor, segments: Segments) -> Tensor:
     """Mean over each sequence's frames: B x D for a packed H."""
-    _check_layout(H, segments, "mean_pool")
-    return nm.Tensor(segments.matrix / segments.lengths[:, None]) @ H
+    return nm.segment_mean(H, segments.offsets, segments.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +122,7 @@ def encoder_shapes(cfg: EncoderCfg) -> Shapes:
     h = cfg.hidden_dim
     shapes = {"frame.W": (cfg.frame_dim, h), "frame.b": (h,)}
     if cfg.attentive:
-        shapes.update({"att.W": (h, h), "att.b": (h,), "att.v": (h,), "att.k": (1,)})
+        shapes.update({"att.W": (h, h), "att.b": (h,), "att.v": (h,)})
     shapes.update({"proj.W": (cfg.pooled_dim, cfg.out_dim), "proj.b": (cfg.out_dim,)})
     return shapes
 
@@ -182,12 +138,12 @@ def cross_attention_shapes(speech_dim: int, text_dim: int, attn_dim: int) -> Sha
 
 
 def init_params(shapes: Shapes, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fresh values for ``shapes``, drawn in its order: biases (``.b``) and
-    the attention score offset ``att.k`` are zeros, every other tensor
-    U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in its first dim."""
+    """Fresh values for ``shapes``, drawn in its order: biases (``.b``) are
+    zeros, every other tensor U(-1/sqrt(fan_in), 1/sqrt(fan_in)) with fan_in
+    its first dim."""
     params: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
-        if name.endswith((".b", "att.k")):
+        if name.endswith(".b"):
             params[name] = np.zeros(shape)
         else:
             bound = 1.0 / math.sqrt(shape[0])
@@ -207,7 +163,7 @@ def frame_hidden(cfg: EncoderCfg, p: Mapping[str, Tensor], frames) -> Tensor:
         raise ValueError(
             f"encoder_forward: expected T x {cfg.frame_dim} features, got shape {x.shape}"
         )
-    return nm.mish(x @ p["frame.W"] + p["frame.b"])
+    return nm.dense(x, p["frame.W"], p["frame.b"], "mish")
 
 
 def encoder_forward(
@@ -217,23 +173,19 @@ def encoder_forward(
     variable-length sequences laid out by ``segments``."""
     h = frame_hidden(cfg, p, frames)
     if cfg.attentive:
-        pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"], segments)
+        pooled = attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], segments)
     else:
         pooled = mean_pool(h, segments)
-    return pooled @ p["proj.W"] + p["proj.b"]
+    return nm.dense(pooled, p["proj.W"], p["proj.b"])
 
 
 def fusion_head_forward(activation: str, p: Mapping[str, Tensor], fused: Tensor) -> Tensor:
     """Two fully connected layers: F -> F with ``activation`` (mish or relu),
-    then F -> out; a B x F input gives B x out."""
-    if activation == "mish":
-        act = nm.mish
-    elif activation == "relu":
-        act = nm.relu
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-    h = act(fused @ p["fc1.W"] + p["fc1.b"])
-    return h @ p["fc2.W"] + p["fc2.b"]
+    then F -> out; a B x F input gives B x out.  ``TrainConfig`` and the
+    checkpoint metadata check the activation; ``dense`` rejects an unknown
+    one."""
+    h = nm.dense(fused, p["fc1.W"], p["fc1.b"], activation)
+    return nm.dense(h, p["fc2.W"], p["fc2.b"])
 
 
 def cross_attention_fuse(
@@ -249,8 +201,6 @@ def cross_attention_fuse(
     query projection, and ``segment_attention`` attends within each
     utterance, so no padded or block-diagonal score matrix is built.
     """
-    _check_layout(Hs, speech, "cross_attention_fuse")
-    _check_layout(Ht, text, "cross_attention_fuse")
     attn_dim = p["q.W"].shape[1]
     q = Ht @ (p["q.W"] / math.sqrt(attn_dim))
     k = Hs @ p["k.W"]

@@ -3,21 +3,32 @@
 The op set is fixed and closed: ``matmul``; broadcast ``add``, ``sub``,
 ``mul`` and ``div``; the elementwise ``tanh``, ``exp``, ``log``, ``mish``,
 ``relu``, ``square``, ``sqrt`` and ``powf``; ``concat``; axis sum and mean;
-ragged attention over packed sequences (``segment_attention``); and the two
-training-loss kernels: per-column concordance (``ccc_columns``) and the
-per-row focal term (``focal_terms``).  Everything else in the package
-composes exactly these ops, which keeps every gradient path
-finite-difference checkable.  ``log`` and ``powf`` stay for the tests'
-graph-composed loss oracles, the references the loss kernels must match.
+a fully connected layer with its activation as one node (``dense``); three
+ragged ops over packed sequences: attentive statistics pooling
+(``segment_stat_pool``), the mean of each sequence (``segment_mean``) and
+attention (``segment_attention``); and the two training-loss kernels:
+per-column concordance (``ccc_columns``) and the per-row focal term
+(``focal_terms``).  Everything else in the package composes exactly these
+ops, which keeps every gradient path finite-difference checkable.  The
+elementwise ops other than ``square`` stay for the tests' graph-composed
+oracles, the references the fused layer, segment and loss kernels must
+match.
+
+A packed batch is B sequences stacked into one (sum T) x D matrix, sequence
+b in the ``lengths[b]`` rows from ``offsets[b]`` on.  The segment ops sum
+within each sequence with ``np.add.reduceat`` and take maxima with
+``np.maximum.reduceat``, so no B x (sum T) indicator matrix is built.
 
 Graphs are built eagerly (each op computes its value on construction) and
 differentiated once by ``backward``.  Ops never mutate their inputs, so
 threads may build and differentiate disjoint graphs concurrently.
 
-The elementwise ops compute their backward factor (the local derivative)
-only when ``backward`` reaches them, from arrays captured at forward time.
-A pass that is never differentiated (dev evaluation, ``predict``, frozen
-encoders) computes no backward factor.
+The elementwise ops and ``dense`` compute their backward factor (the local
+derivative) only when ``backward`` reaches them, from arrays captured at
+forward time.  A pass that is never differentiated (dev evaluation,
+``predict``, frozen encoders) computes no backward factor.  The activations
+``tanh``, ``mish`` and ``relu`` have one forward and one derivative each
+(``_activate``), shared by the elementwise op and ``dense``.
 
 The two kernels that dominate long utterances keep their full-array passes
 few.  ``mish`` calls one exponential, ``exp(min(x, 20))``, and forms
@@ -29,13 +40,14 @@ divides or averages a whole weight matrix.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 Array = np.ndarray
 
 CCC_DEGENERATE_EPS = 1e-15  # a smaller concordance denominator is degenerate
+VAR_EPS = 1e-9  # added to a pooled variance before its square root
 
 __all__ = [
     "Tensor",
@@ -56,6 +68,9 @@ __all__ = [
     "sqrt",
     "powf",
     "concat",
+    "dense",
+    "segment_stat_pool",
+    "segment_mean",
     "segment_attention",
     "ccc_columns",
     "focal_terms",
@@ -271,8 +286,7 @@ def _unary(x, data: Array, local, op: str) -> Tensor:
 
 def tanh(x) -> Tensor:
     x = _coerce(x)
-    y = np.tanh(x.data)
-    return _unary(x, y, lambda: 1.0 - y * y, "tanh")
+    return _unary(x, *_activate("tanh", x.data), "tanh")
 
 
 def exp(x) -> Tensor:
@@ -300,8 +314,8 @@ def _mish_parts(e: Array) -> tuple[Array, Array]:
     return w, np.divide(n, w, out=n)
 
 
-def mish(x) -> Tensor:
-    """Elementwise x * tanh(ln(1 + eˣ)), from one exponential.
+def _mish(x: Array) -> tuple[Array, Callable[[], Array]]:
+    """Mish of ``x`` from one exponential, and its lazy derivative.
 
     With e = exp(x) and n = e(e + 2), tanh(ln(1 + e)) = n / (n + 2).  The
     exponent is clamped at 20: from there on the exact tanh rounds to 1.0,
@@ -311,31 +325,50 @@ def mish(x) -> Tensor:
     term, under 2 ulps of 1 there, is dropped, so the derivative is exactly 1.
     Values and derivatives are within 4 ulps of exact (of the larger term,
     for the derivative), plus the smallest normal float where they underflow.
-    Only e is kept for ``backward``, which recomputes n from it.
+    Only e is kept for the derivative, which recomputes n from it.
     """
-    x = _coerce(x)
-    xd = x.data
-    _check_finite(xd, "mish")
-    e = np.minimum(xd, 20.0)
+    _check_finite(x, "mish")
+    e = np.minimum(x, 20.0)
     np.exp(e, out=e)
 
     def local() -> Array:
         w, t = _mish_parts(e)
         d = e + 1.0
         d *= e
-        d *= np.where(xd < 20.0, xd, 0.0)
+        d *= np.where(x < 20.0, x, 0.0)
         d /= w * w
         d *= 4.0
         d += t
         return d
 
-    return _unary(x, xd * _mish_parts(e)[1], local, "mish")
+    return x * _mish_parts(e)[1], local
+
+
+def _activate(activation: str, z: Array) -> tuple[Array, Callable[[], Array] | None]:
+    """``activation(z)`` and a thunk for its derivative at ``z``, None for
+    ``"none"``.  The thunk reads only arrays captured here, so it may run
+    after the parameters that gave ``z`` were rebound."""
+    if activation == "mish":
+        return _mish(z)
+    if activation == "relu":
+        return np.maximum(z, 0.0), lambda: (z > 0.0).astype(np.float64)
+    if activation == "tanh":
+        y = np.tanh(z)
+        return y, lambda: 1.0 - y * y
+    if activation == "none":
+        return z, None
+    raise ValueError(f"unknown activation {activation!r}")
+
+
+def mish(x) -> Tensor:
+    """Elementwise x * tanh(ln(1 + eˣ)); see ``_mish``."""
+    x = _coerce(x)
+    return _unary(x, *_activate("mish", x.data), "mish")
 
 
 def relu(x) -> Tensor:
     x = _coerce(x)
-    xd = x.data
-    return _unary(x, np.maximum(xd, 0.0), lambda: (xd > 0.0).astype(np.float64), "relu")
+    return _unary(x, *_activate("relu", x.data), "relu")
 
 
 def square(x) -> Tensor:
@@ -401,6 +434,106 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _node(data, tuple(ts), "concat", backward_fn)
 
 
+def dense(x, W, b, activation: str = "none") -> Tensor:
+    """A fully connected layer, ``activation(x @ W + b)``, as one node:
+    x is (D,) or B x D, W is D x F and b is (F,); ``activation`` is mish,
+    relu, tanh or none.
+
+    Values and gradients are those of the matmul, add and activation nodes
+    it replaces, bit for bit.  The backward skips the product for an input
+    that needs no gradient, as packed frames do.
+    """
+    x, W, b = _coerce(x), _coerce(W), _coerce(b)
+    xd, Wd = x.data, W.data
+    if xd.ndim not in (1, 2) or Wd.ndim != 2 or xd.shape[-1] != Wd.shape[0] \
+            or b.data.shape != Wd.shape[1:]:
+        raise ValueError(f"dense: incompatible shapes {x.shape} @ {W.shape} + {b.shape}")
+    z = xd @ Wd
+    z += b.data
+    y, local = _activate(activation, z)
+
+    def backward_fn(g: Array) -> None:
+        gz = g if local is None else g * local()
+        if xd.ndim == 1:
+            if x.requires_grad:
+                _accum(x, Wd @ gz)
+            _accum(W, np.outer(xd, gz))
+            _accum(b, gz)
+        else:
+            if x.requires_grad:
+                _accum(x, gz @ Wd.T)
+            _accum(W, xd.T @ gz)
+            _accum(b, gz.sum(axis=0))
+
+    return _node(y, (x, W, b), "dense", backward_fn)
+
+
+def _check_packed(op: str, H: Tensor, offsets, lengths) -> tuple[Array, Array]:
+    """``offsets`` and ``lengths`` as int arrays, after checking that H is a
+    packed batch of that layout."""
+    offsets, lengths = np.asarray(offsets, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    if H.data.ndim != 2:
+        raise ValueError(f"{op}: expected T x D input, got {H.shape}")
+    total = int(lengths.sum())
+    if total != H.shape[0] or offsets.shape != lengths.shape:
+        raise ValueError(f"{op}: {H.shape[0]} rows for a packed batch of {total}")
+    return offsets, lengths
+
+
+def segment_stat_pool(H, scores, offsets, lengths) -> Tensor:
+    """Attentive statistics pooling of a packed batch: B x 2D, row b the
+    mean of sequence b's rows of ``H`` weighted by the softmax of its
+    ``scores``, then their weighted std.
+
+    The softmax is taken within each sequence, shifted by the sequence's
+    max.  The variance is clamped at zero and padded with ``VAR_EPS`` before
+    the square root, so constant sequences stay differentiable; where the
+    clamp holds, the std passes no gradient.  The backward is closed-form:
+    with ``g_var = g_σ / 2σ`` and ``g_μ' = g_μ − 2μ·g_var``, frame t of
+    sequence b gets ``α_t (g_μ' + 2 h_t g_var)`` and its score
+    ``α_t (d_t − Σ_u α_u d_u)``, ``d_t = h_t·g_μ' + h_t²·g_var``.
+    """
+    H, s = _coerce(H), _coerce(scores)
+    offsets, lengths = _check_packed("segment_stat_pool", H, offsets, lengths)
+    Hd, sd = H.data, s.data
+    if sd.shape != Hd.shape[:1]:
+        raise ValueError(f"segment_stat_pool: {s.shape} scores for {Hd.shape[0]} rows")
+    alpha = sd - np.repeat(np.maximum.reduceat(sd, offsets), lengths)
+    np.exp(alpha, out=alpha)
+    alpha /= np.repeat(np.add.reduceat(alpha, offsets), lengths)
+    weighted = alpha[:, None] * Hd
+    mu = np.add.reduceat(weighted, offsets, axis=0)
+    weighted *= Hd
+    var = np.add.reduceat(weighted, offsets, axis=0)
+    var -= mu * mu
+    sigma = np.sqrt(np.maximum(var, 0.0) + VAR_EPS)
+
+    def backward_fn(g: Array) -> None:
+        cols = Hd.shape[1]
+        g_var = np.where(var > 0.0, g[:, cols:] * (0.5 / sigma), 0.0)
+        g_mu = np.repeat(g[:, :cols] - 2.0 * mu * g_var, lengths, axis=0)
+        g_var = np.repeat(g_var, lengths, axis=0)
+        if H.requires_grad:
+            _accum(H, alpha[:, None] * (g_mu + 2.0 * Hd * g_var))
+        if s.requires_grad:
+            ad = alpha * (Hd * (g_mu + Hd * g_var)).sum(axis=1)
+            _accum(s, ad - alpha * np.repeat(np.add.reduceat(ad, offsets), lengths))
+
+    return _node(np.concatenate([mu, sigma], axis=1), (H, s), "segment_stat_pool", backward_fn)
+
+
+def segment_mean(H, offsets, lengths) -> Tensor:
+    """The mean of each sequence's rows of a packed ``H``: B x D."""
+    H = _coerce(H)
+    offsets, lengths = _check_packed("segment_mean", H, offsets, lengths)
+    n = lengths[:, None].astype(np.float64)
+
+    def backward_fn(g: Array) -> None:
+        _accum(H, np.repeat(g / n, lengths, axis=0))
+
+    return _node(np.add.reduceat(H.data, offsets, axis=0) / n, (H,), "segment_mean", backward_fn)
+
+
 def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> Tensor:
     """Attention within each of B packed sequence pairs: B x D, row b the
     mean over query rows of ``softmax(q_b k_bᵀ) v_b``.
@@ -417,7 +550,8 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if len(q_lengths) != len(kv_lengths) or any(t.data.ndim != 2 for t in (q, k, v)) \
-            or q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
+            or q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0] \
+            or q.shape[0] != np.sum(q_lengths) or k.shape[0] != np.sum(kv_lengths):
         raise ValueError(
             f"segment_attention: {len(q_lengths)} query and {len(kv_lengths)} key sequences "
             f"do not fit q {q.shape}, k {k.shape}, v {v.shape}"

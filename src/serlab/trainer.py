@@ -98,15 +98,20 @@ class TrainConfig:
 class Checkpoint:
     """Trained tensors and their model's metadata, checked when built: a
     ValueError names the first metadata key or tensor the model builder
-    cannot read (missing, mistyped, misshapen or non-finite).  Readers trust
-    this, so rebuild a bad checkpoint rather than edit one in place."""
+    cannot read (missing, mistyped, misshapen or non-finite), or the first
+    tensor the metadata does not describe.  Readers trust this, so rebuild a
+    bad checkpoint rather than edit one in place."""
 
     tensors: dict[str, np.ndarray]
     metadata: dict
 
     def __post_init__(self) -> None:
         _check_metadata(self.metadata)
-        for name, shape in _param_shapes(self.metadata).items():
+        shapes = _param_shapes(self.metadata)
+        extra = next((name for name in self.tensors if name not in shapes), None)
+        if extra is not None:
+            raise ValueError(f"tensor {extra!r} is not part of the model its metadata describes")
+        for name, shape in shapes.items():
             got = self.tensors.get(name)
             if got is None:
                 raise ValueError(f"tensor {name!r} is missing")

@@ -1,9 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, the
 layer-by-layer initialisation oracles for ``model.init_params``, the
 per-utterance encoder and cross-attention oracles for packed batches, the
-graph-composed loss and per-tensor Adam oracles for the closed-form loss ops
-and the flat Adam update, and a throwaway chat-completion server for
-exercising the LLM client."""
+graph-composed oracles for the fused layer, segment, loss and Adam kernels,
+and a throwaway chat-completion server for exercising the LLM client."""
 
 from __future__ import annotations
 
@@ -91,7 +90,6 @@ def oracle_init_encoder_params(cfg, rng: np.random.Generator) -> dict[str, np.nd
         params["att.W"], params["att.b"] = _oracle_affine(rng, cfg.hidden_dim, cfg.hidden_dim)
         bound = 1.0 / math.sqrt(cfg.hidden_dim)
         params["att.v"] = rng.uniform(-bound, bound, size=cfg.hidden_dim)
-        params["att.k"] = np.zeros(1)
         pooled = 2 * cfg.hidden_dim
     params["proj.W"], params["proj.b"] = _oracle_affine(rng, pooled, cfg.out_dim)
     return params
@@ -116,11 +114,11 @@ def oracle_init_cross_attention_params(
     return params
 
 
-def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
+def oracle_attentive_stat_pool(H, W, b, v) -> nm.Tensor:
     """Attentive statistics pooling of one sequence, its softmax the
     exponentials of the max-shifted scores over their sum: the per-utterance
     form the packed pooling must reproduce."""
-    scores = nm.tanh(H @ W + b) @ v + k
+    scores = nm.tanh(H @ W + b) @ v
     e = nm.exp(scores - nm.Tensor(scores.data.max()))
     alpha = e / e.sum()
     mu = alpha @ H
@@ -129,11 +127,49 @@ def oracle_attentive_stat_pool(H, W, b, v, k) -> nm.Tensor:
     return nm.concat([mu, sigma])
 
 
+def oracle_dense(x, W, b, activation) -> nm.Tensor:
+    """A dense layer as matmul, add and activation nodes: the graph
+    ``nm.dense`` replaces, bit for bit."""
+    z = x @ W + b
+    return z if activation == "none" else getattr(nm, activation)(z)
+
+
+def _segment_matrix(lengths) -> np.ndarray:
+    """The constant 0/1 (B x sum T) segment indicator: ``S @ X`` sums each
+    sequence's rows of X."""
+    matrix = np.zeros((len(lengths), int(np.sum(lengths))))
+    matrix[np.repeat(np.arange(len(lengths)), lengths), np.arange(matrix.shape[1])] = 1.0
+    return matrix
+
+
+def oracle_segment_stat_pool(H, scores, lengths) -> nm.Tensor:
+    """Attentive statistics pooling of a packed batch as products with the
+    segment indicator S, the graph ``nm.segment_stat_pool`` replaces: each
+    frame's softmax denominator spread back by ``(S @ e) @ S``, the moments
+    taken by ``(S * α) @ H`` and ``(S * α) @ square(H)``."""
+    lengths = np.asarray(lengths)
+    S = nm.Tensor(_segment_matrix(lengths))
+    shift = np.repeat(np.maximum.reduceat(scores.data, np.cumsum(lengths) - lengths), lengths)
+    e = nm.exp(scores - nm.Tensor(shift))
+    A = S * (e / ((S @ e) @ S))
+    mu = A @ H
+    m2 = A @ nm.square(H)
+    sigma = nm.sqrt(nm.relu(m2 - nm.square(mu)) + model.VAR_EPS)
+    return nm.concat([mu, sigma], axis=1)
+
+
+def oracle_segment_mean(H, lengths) -> nm.Tensor:
+    """Each sequence's mean as ``(S / len) @ H``, the graph
+    ``nm.segment_mean`` replaces."""
+    lengths = np.asarray(lengths)
+    return nm.Tensor(_segment_matrix(lengths) / lengths[:, None]) @ H
+
+
 def oracle_encoder_forward(cfg, p, frames) -> nm.Tensor:
     """One utterance's embedding, one graph per utterance."""
     h = model.frame_hidden(cfg, p, frames)
     if cfg.attentive:
-        pooled = oracle_attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"], p["att.k"])
+        pooled = oracle_attentive_stat_pool(h, p["att.W"], p["att.b"], p["att.v"])
     else:
         pooled = h.mean(axis=0)
     return pooled @ p["proj.W"] + p["proj.b"]

@@ -55,6 +55,8 @@ def _check_op_groups(rng):
         lambda s: (nm.mish(s["a"]) * nm.tanh(s["b"]) + nm.tanh(s["a"]) - nm.square(s["b"])).sum(),
         {"a": a.copy(), "b": b.copy()},
     )
+    r = rng.uniform(0.1, 1.5, size=5) * rng.choice([-1.0, 1.0], size=5)  # away from the kink
+    check_gradients(lambda s: (nm.relu(s["r"]) * nm.tensor(a)).sum(), {"r": r})
     c = rng.uniform(0.4, 2.0, size=5)
     d = rng.uniform(0.5, 2.0, size=5)
     check_gradients(
@@ -97,17 +99,40 @@ def _check_op_groups(rng):
 
 
 def _check_composites(rng):
-    # attentive statistics pooling
+    # the dense layer at each activation, on a batch and on one row; relu
+    # pre-activations pushed away from the kink
+    w = rng.normal(size=4)
+    for activation in ("none", "tanh", "mish", "relu"):
+        layer = {"x": rng.uniform(-1, 1, size=(3, 2)), "x1": rng.uniform(-1, 1, size=2),
+                 "W": rng.uniform(-1, 1, size=(2, 4)), "b": rng.uniform(-0.5, 0.5, size=4)}
+        while activation == "relu" and np.min(np.abs(np.vstack(
+                [layer["x"], layer["x1"]]) @ layer["W"] + layer["b"])) < 1e-3:
+            layer["b"] = layer["b"] + 0.01
+        check_gradients(
+            lambda s: (nm.dense(s["x"], s["W"], s["b"], activation) * nm.tensor(w)).sum()
+            + nm.dense(s["x1"], s["W"], s["b"], activation) @ nm.tensor(w),
+            layer,
+        )
+
+    # the segment ops over a ragged batch, then attentive statistics pooling
+    lengths = np.array([2, 1, 3])
+    offsets = np.cumsum(lengths) - lengths
+    weights = rng.normal(size=(3, 6))
+    check_gradients(
+        lambda s: (nm.segment_stat_pool(s["H"], s["scores"], offsets, lengths)
+                   * nm.tensor(weights)).sum()
+        + (nm.segment_mean(s["H"], offsets, lengths) * nm.tensor(weights[:, :3])).sum(),
+        {"H": rng.normal(size=(6, 3)), "scores": rng.normal(size=6)},
+    )
     h = rng.normal(size=(3, 3))
     pool = {
         "W": rng.uniform(-0.5, 0.5, size=(3, 3)),
         "b": rng.uniform(-0.2, 0.2, size=3),
         "v": rng.uniform(-0.5, 0.5, size=3),
-        "k": rng.uniform(-0.1, 0.1, size=1),
     }
     one = model.Segments.of([3])
     check_gradients(
-        lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], s["k"], one).sum(),
+        lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], one).sum(),
         {k: v.copy() for k, v in pool.items()},
     )
 

@@ -89,6 +89,17 @@ def _set_entry(tensors, name, index, value):
     tensors[name] = arr
 
 
+def _with_att_k(tensors):
+    """The tensors as checkpoints held them before the attention score
+    offset ``att.k`` was deleted: a (1,) tensor after ``speech.att.v``."""
+    items = list(tensors.items())
+    tensors.clear()
+    for name, arr in items:
+        tensors[name] = arr
+        if name == "speech.att.v":
+            tensors["speech.att.k"] = np.zeros(1)
+
+
 # (tensors, metadata) -> None edits of a stage-1 speech checkpoint, and the error each gives
 CHECKPOINT_DEFECTS = {
     "no stage": (lambda t, m: m.pop("stage"), "metadata has no 'stage'"),
@@ -106,6 +117,8 @@ CHECKPOINT_DEFECTS = {
                        "tensor 'head.fc1.b' is not finite at flat index 2"),
     "speech.frame.W -inf": (lambda t, m: _set_entry(t, "speech.frame.W", (1, 3), -np.inf),
                             "tensor 'speech.frame.W' is not finite at flat index 19"),
+    "old speech.att.k": (lambda t, m: _with_att_k(t),
+                         "tensor 'speech.att.k' is not part of the model its metadata describes"),
 }
 
 
@@ -140,6 +153,27 @@ class TestExitCodes:
         manifest["outputs"][str(out / "labels.csv")] = "0" * 64
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert cli_dispatch(["replay", "--manifest", str(out / "manifest.json")]) == 2
+
+    def test_failed_replay_keeps_the_record_it_failed_against(self, tmp_path, capsys):
+        # a record that does not reproduce, as on another BLAS kernel: the
+        # output's bytes and its manifest hash agree, but the command gives
+        # other bytes
+        out = tmp_path / "ds"
+        assert cli_dispatch(
+            ["gen-synth", "--class-counts", ",".join(["4"] * 8), "--seed", "1",
+             "--out", str(out)]
+        ) == 0
+        labels, manifest = out / "labels.csv", out / "manifest.json"
+        labels.write_bytes(labels.read_bytes().replace(b",A,", b",C,", 1))
+        doc = json.loads(manifest.read_text())
+        doc["outputs"][str(labels)] = dataio.sha256_file(labels)
+        manifest.write_text(json.dumps(doc))
+        recorded = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli_dispatch(["replay", "--manifest", str(manifest)]) == 2
+        assert str(labels) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == recorded
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @staticmethod
     def _data_copy(dataset, tmp_path):

@@ -24,70 +24,75 @@ def _pool_params(store, hidden, att=None, seed=0, zero_attention=False):
     b = store.add("b", rng.uniform(-0.2, 0.2, size=att))
     v_arr = np.zeros(att) if zero_attention else rng.uniform(-0.5, 0.5, size=att)
     v = store.add("v", v_arr)
-    k = store.add("k", np.zeros(1))
-    return W, b, v, k
+    return W, b, v
 
 
 class TestAttentiveStatPool:
     def test_single_frame_degenerates_to_frame_and_eps_std(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=3, seed=1)
+        W, b, v = _pool_params(store, hidden=3, seed=1)
         h = np.array([[0.4, -1.2, 2.0]])
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h)).data[0]
         assert np.allclose(out[:3], h[0], atol=1e-12)
         assert np.allclose(out[3:], np.sqrt(model.VAR_EPS), atol=1e-12)
 
     def test_zero_attention_equals_plain_statistics(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=4, seed=2, zero_attention=True)
+        W, b, v = _pool_params(store, hidden=4, seed=2, zero_attention=True)
         rng = np.random.default_rng(3)
         h = rng.normal(size=(6, 4))
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h)).data[0]
         mu = h.mean(axis=0)
         sigma = np.sqrt(np.maximum((h * h).mean(axis=0) - mu * mu, 0.0) + model.VAR_EPS)
         assert np.allclose(out, np.concatenate([mu, sigma]), atol=1e-12)
 
     def test_two_frame_hand_case(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=2, seed=4, zero_attention=True)
+        W, b, v = _pool_params(store, hidden=2, seed=4, zero_attention=True)
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h)).data[0]
         assert np.allclose(out[:2], [0.5, 0.5], atol=1e-12)
         assert np.allclose(out[2:], np.sqrt(0.25 + model.VAR_EPS), atol=1e-12)
 
     def test_constant_frames_invariant_to_frame_count(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=3, seed=5)
+        W, b, v = _pool_params(store, hidden=3, seed=5)
         frame = np.array([0.7, -0.3, 1.1])
         for t in (2, 5, 9):
             h = np.tile(frame, (t, 1))
-            out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
+            out = model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h)).data[0]
             assert np.allclose(out[:3], frame, atol=1e-9)
             assert np.allclose(out[3:], np.sqrt(model.VAR_EPS), atol=1e-9)
 
     def test_std_entries_never_below_sqrt_eps(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=3, seed=6)
+        W, b, v = _pool_params(store, hidden=3, seed=6)
         h = np.random.default_rng(7).normal(size=(5, 3))
-        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h)).data[0]
+        out = model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h)).data[0]
         assert np.all(out[3:] >= np.sqrt(model.VAR_EPS) - 1e-15)
 
     def test_attention_weights_sum_to_one(self):
+        # with one-hot frames, the pooled mean of each sequence is its
+        # attention weights over the packed rows
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=3, seed=9)
+        W, b, v = _pool_params(store, hidden=3, seed=9)
         rng = np.random.default_rng(10)
-        for t in (1, 2, 6, 11):
-            h = rng.normal(size=(t, 3))
-            alpha = model.attention_weights(nm.tensor(h), W, b, v, k, _one(h))
-            assert abs(alpha.data.sum() - 1.0) < 1e-12
-            assert np.all(alpha.data > 0)
+        lengths = (1, 2, 6, 11)
+        h, segments = model.pack([rng.normal(size=(t, 3)) for t in lengths])
+        scores = nm.dense(nm.tensor(h), W, b, "tanh") @ v  # as attentive_stat_pool scores
+        onehot = nm.tensor(np.eye(len(h)))
+        pooled = nm.segment_stat_pool(onehot, scores, segments.offsets, segments.lengths).data
+        for alpha, start, t in zip(pooled[:, :len(h)], segments.offsets, lengths):
+            assert abs(alpha.sum() - 1.0) < 1e-12
+            assert np.all(alpha[start:start + t] > 0)
+            assert np.all(np.delete(alpha, np.arange(start, start + t)) == 0)
 
     def test_empty_sequence_rejected(self):
         store = nm.ParamStore()
-        W, b, v, k = _pool_params(store, hidden=3)
+        W, b, v = _pool_params(store, hidden=3)
         with pytest.raises(ValueError, match="empty sequence"):
             h = np.zeros((0, 3))
-            model.attentive_stat_pool(nm.tensor(h), W, b, v, k, _one(h))
+            model.attentive_stat_pool(nm.tensor(h), W, b, v, _one(h))
 
     def test_gradients(self):
         rng = np.random.default_rng(42)
@@ -96,12 +101,9 @@ class TestAttentiveStatPool:
             "W": rng.uniform(-0.5, 0.5, size=(3, 3)),
             "b": rng.uniform(-0.2, 0.2, size=3),
             "v": rng.uniform(-0.5, 0.5, size=3),
-            "k": rng.uniform(-0.1, 0.1, size=1),
         }
         check_gradients(
-            lambda s: model.attentive_stat_pool(
-                nm.tensor(h), s["W"], s["b"], s["v"], s["k"], _one(h)
-            ).sum(),
+            lambda s: model.attentive_stat_pool(nm.tensor(h), s["W"], s["b"], s["v"], _one(h)).sum(),
             {k: v.copy() for k, v in arrays.items()},
         )
 
@@ -211,7 +213,6 @@ class TestEncoderForward:
             "att.W": store.add("att.W", np.eye(d)),
             "att.b": store.add("att.b", np.zeros(d)),
             "att.v": store.add("att.v", np.zeros(d)),
-            "att.k": store.add("att.k", np.zeros(1)),
             "proj.W": store.add("proj.W", np.eye(2 * d)),
             "proj.b": store.add("proj.b", np.zeros(2 * d)),
         }

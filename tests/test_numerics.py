@@ -8,7 +8,7 @@ from serlab import numerics as nm
 from serlab.dataio import SynthConfig, gen_synthetic
 from serlab.trainer import TrainConfig, predict, train_stage1, train_stage2
 
-from helpers import check_gradients
+from helpers import check_gradients, oracle_dense, oracle_segment_mean, oracle_segment_stat_pool
 
 mp.mp.dps = 40
 
@@ -140,6 +140,90 @@ class TestSegmentAttention:
         assert np.abs(q @ k.T).max() > 5e3
         assert np.all(np.isfinite(out.data))
         assert all(np.all(np.isfinite(store.grad(n))) for n in ("q", "k", "v"))
+
+
+def _packed_frames(rng, batch, dim):
+    """A packed batch of 1-12 frame sequences with their attention scores,
+    and which sequences are constant.
+
+    About a quarter are constant, with constant scores, dyadic values and
+    1, 2, 4 or 8 rows: every weight, mean and second moment is then exact in
+    any summation order, so the variance is exactly 0 and the relu clamp
+    holds.  The others are redrawn until each column's weighted std is at
+    least 0.05.  Below that, var = m2 - mu² loses digits in any form, and
+    summation order alone moves a gradient by about 1e-16 / std².
+    """
+    rows, scores, lengths, constant = [], [], [], []
+    for _ in range(batch):
+        if rng.random() < 0.25:
+            n = int(rng.choice([1, 2, 4, 8]))
+            h = np.tile(rng.integers(-32, 33, size=dim) / 8.0, (n, 1))
+            sc = np.full(n, rng.normal())
+        else:
+            while True:
+                n = int(rng.integers(1, 13))
+                h, sc = rng.normal(size=(n, dim)), rng.normal(size=n) * 1.5
+                alpha = np.exp(sc - sc.max())
+                alpha /= alpha.sum()
+                if n == 1 or np.min(alpha @ (h - alpha @ h) ** 2) >= 0.05 ** 2:
+                    break
+        rows.append(h)
+        scores.append(sc)
+        lengths.append(n)
+        constant.append(n == 1 or np.ptp(h, axis=0).max() == 0.0)
+    return np.concatenate(rows), np.concatenate(scores), np.array(lengths), np.array(constant)
+
+
+def _value_and_grads(build, arrays, weights):
+    """``build``'s value and the gradients of sum(weights * value) for each
+    of ``arrays``, in order."""
+    store = nm.ParamStore()
+    out = build(*(store.add(f"a{i}", a) for i, a in enumerate(arrays)))
+    nm.backward((out * nm.tensor(weights)).sum(), store)
+    return [out.data] + [store.grad(f"a{i}") for i in range(len(arrays))]
+
+
+class TestFusedOpsMatchTheirGraphs:
+    """``dense``, ``segment_stat_pool`` and ``segment_mean`` against the
+    graph compositions they replace (``helpers.oracle_*``), on random
+    ragged batches: values and gradients."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=6))
+    def test_segment_ops(self, seed, batch, dim):
+        rng = np.random.default_rng(seed)
+        H, scores, lengths, constant = _packed_frames(rng, batch, dim)
+        offsets = np.cumsum(lengths) - lengths
+        cases = [
+            (lambda h, s: nm.segment_stat_pool(h, s, offsets, lengths),
+             lambda h, s: oracle_segment_stat_pool(h, s, lengths), 2 * dim),
+            (lambda h, s: nm.segment_mean(h, offsets, lengths),
+             lambda h, s: oracle_segment_mean(h, lengths), dim),
+        ]
+        for fused, oracle, width in cases:
+            weights = rng.normal(size=(batch, width))
+            got = _value_and_grads(fused, (H, scores), weights)
+            want = _value_and_grads(oracle, (H, scores), weights)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12
+        pooled = nm.segment_stat_pool(H, scores, offsets, lengths).data
+        assert np.all(pooled[constant, dim:] == np.sqrt(nm.VAR_EPS))  # the clamp holds
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=40),
+           st.sampled_from(["none", "tanh", "mish", "relu"]))
+    def test_dense_is_its_graph_bit_for_bit(self, seed, batch, activation):
+        # batch 0 stands for a single (D,) input row
+        rng = np.random.default_rng(seed)
+        d, f = rng.integers(1, 9, size=2)
+        x = rng.normal(size=(batch, d) if batch else d)
+        W, b = rng.normal(size=(d, f)), rng.normal(size=f)
+        weights = rng.normal(size=(batch, f) if batch else f)
+        got = _value_and_grads(lambda *t: nm.dense(*t, activation), (x, W, b), weights)
+        want = _value_and_grads(lambda *t: oracle_dense(*t, activation), (x, W, b), weights)
+        for fused, composed in zip(got, want):
+            assert fused.tobytes() == composed.tobytes()
 
 
 class TestBackward:
@@ -387,21 +471,28 @@ class TestLazyBackwardFactors:
             batch_size=16,
         ), ckpts["speech"], ckpts["text"], records)
         built, calls = [], []
-        real = nm._unary
+        real = nm._activate
 
-        def counting(x, data, local, op):
+        def counting(activation, z):
+            y, local = real(activation, z)
+            if local is None:
+                return y, None
+
             def counted():
-                calls.append((op, data.shape))
+                calls.append((activation, z.shape))
                 return local()
 
-            built.append(op)
-            return real(x, data, counted, op)
+            built.append(activation)
+            return y, counted
 
-        monkeypatch.setattr(nm, "_unary", counting)
+        # every activation's factor, the elementwise ops' and the fused
+        # layers', comes from _activate
+        monkeypatch.setattr(nm, "_activate", counting)
         predict(ckpts["speech"], records)
         predict(concat, records)
-        assert "mish" in built and calls == []
-        # the counter does see the factor once a backward pass needs it
+        assert {"mish", "tanh"} <= set(built) and calls == []
+        # the counter does see the factors once a backward pass needs them
         store = nm.ParamStore()
-        nm.backward(nm.mish(store.add("x", np.ones(3))).sum(), store)
-        assert calls == [("mish", (3,))]
+        x = store.add("x", np.ones(3))
+        nm.backward(nm.mish(x).sum() + nm.dense(x, np.eye(3), np.zeros(3), "mish").sum(), store)
+        assert sorted(calls) == [("mish", (3,))] * 2

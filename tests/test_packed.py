@@ -110,10 +110,10 @@ def test_one_frame_sequence_has_exact_eps_std():
     rng = np.random.default_rng(3)
     store = nm.ParamStore()
     W, b = store.add("W", rng.normal(size=(3, 3))), store.add("b", rng.normal(size=3))
-    v, k = store.add("v", rng.normal(size=3)), store.add("k", np.zeros(1))
+    v = store.add("v", rng.normal(size=3))
     seqs = [rng.normal(size=(n, 3)) for n in (4, 1, 2)]
     H, segments = model.pack(seqs)
-    pooled = model.attentive_stat_pool(nm.tensor(H), W, b, v, k, segments).data
+    pooled = model.attentive_stat_pool(nm.tensor(H), W, b, v, segments).data
     assert np.array_equal(pooled[1, :3], seqs[1][0])
     assert np.all(pooled[1, 3:] == np.sqrt(model.VAR_EPS))
 
@@ -126,11 +126,10 @@ def test_packed_attentive_pool_finite_differences():
         "W": rng.uniform(-0.5, 0.5, size=(3, 3)),
         "b": rng.uniform(-0.2, 0.2, size=3),
         "v": rng.uniform(-0.5, 0.5, size=3),
-        "k": rng.uniform(-0.1, 0.1, size=1),
     }
     weights = rng.normal(size=(3, 6))
     check_gradients(
-        lambda s: (model.attentive_stat_pool(s["H"], s["W"], s["b"], s["v"], s["k"], segments)
+        lambda s: (model.attentive_stat_pool(s["H"], s["W"], s["b"], s["v"], segments)
                    * nm.tensor(weights)).sum(),
         arrays,
     )
@@ -256,3 +255,28 @@ def test_cross_attention_graph_size_independent_of_batch_size(records, checkpoin
     net = build_model(ckpt.metadata, params)
     dev = [r for r in records if r.split == "dev"]
     assert _graph_nodes(net.forward(dev[:2])) == _graph_nodes(net.forward(dev[:16]))
+
+
+STEP_CASES = [  # (task, loss, batch size); CCC needs two samples a batch
+    (task, loss, batch_size)
+    for task, loss in (("categorical", "focal"), ("categorical", "wce"),
+                       ("attributes", "mse"), ("attributes", "ccc_loss"))
+    for batch_size in (1, 32) if (loss, batch_size) != ("ccc_loss", 1)
+]
+
+
+@pytest.mark.parametrize("modality,limit", [("speech", 25), ("text", 20)])
+@pytest.mark.parametrize("task,loss,batch_size", STEP_CASES)
+def test_stage1_step_graph_stays_small(records, monkeypatch, modality, limit, task, loss,
+                                       batch_size):
+    # the nodes reachable from each step's loss, counted as the benchmark's
+    # tracer counts them: a fixed few per layer, whatever the batch size
+    sizes, real = [], nm.backward
+
+    def counting(loss_node, params=None):
+        sizes.append(_graph_nodes(loss_node))
+        return real(loss_node, params)
+
+    monkeypatch.setattr(nm, "backward", counting)
+    train_stage1(_stage1(task, modality, loss, 8, epochs=1, batch_size=batch_size), records)
+    assert sizes and max(sizes) <= limit
