@@ -675,11 +675,11 @@ def _parser() -> _Parser:
 
 
 def _check_out_dirs(args) -> None:
-    """The directory of each ``--out`` and ``--log`` path exists, checked
-    before the command runs."""
+    """The directory of each ``--out``, ``--log`` and ``--cache`` path
+    exists, checked before the command runs."""
     if args.command == "gen-synth":  # it makes its --out directory
         return
-    for flag in ("out", "log"):
+    for flag in ("out", "log", "cache"):
         path = getattr(args, flag, None)
         if path and not Path(path).parent.is_dir():
             parent = str(Path(path).parent)

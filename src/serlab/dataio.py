@@ -678,12 +678,10 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 @dataclass
 class PredictionSet:
-    task: str
     ids: list[str] = field(default_factory=list)
     labels: dict[str, str] = field(default_factory=dict)
     logits: dict[str, np.ndarray] = field(default_factory=dict)
     attributes: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    clamped: set[str] = field(default_factory=set)
 
     def add_label(self, rid: str, label: str, logits: np.ndarray | None = None) -> None:
         self.ids.append(rid)
@@ -691,11 +689,9 @@ class PredictionSet:
         if logits is not None:
             self.logits[rid] = logits
 
-    def add_attributes(self, rid: str, triple, clamped: bool = False) -> None:
+    def add_attributes(self, rid: str, triple) -> None:
         self.ids.append(rid)
         self.attributes[rid] = tuple(float(v) for v in triple)
-        if clamped:
-            self.clamped.add(rid)
 
 
 def write_predictions(path, preds: PredictionSet) -> None:
@@ -710,7 +706,7 @@ def write_predictions(path, preds: PredictionSet) -> None:
 
 
 def read_predictions(path) -> PredictionSet:
-    preds = PredictionSet(task="unknown")
+    preds = PredictionSet()
     for lineno, (rid, emotion, a, v, d) in csv_rows(path, PREDICTIONS_HEADER):
         preds.ids.append(rid)
         emo = _emotion(path, lineno, emotion)
@@ -719,10 +715,4 @@ def read_predictions(path) -> PredictionSet:
         triple = _triple(path, lineno, a, v, d)
         if triple is not None:
             preds.attributes[rid] = triple
-    if preds.labels and preds.attributes:
-        preds.task = "both"
-    elif preds.attributes:
-        preds.task = "attributes"
-    elif preds.labels:
-        preds.task = "categorical"
     return preds

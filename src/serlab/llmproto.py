@@ -247,7 +247,7 @@ def run_llm_eval(
 
     cache = _load_cache(endpoint.cache_path) if endpoint.cache_path else {}
     writer = _CacheWriter(endpoint.cache_path)
-    report = LlmRunReport(predictions=PredictionSet(task=task))
+    report = LlmRunReport(predictions=PredictionSet())
     stats_lock = threading.Lock()
 
     def fetch(item: tuple[str, str]) -> tuple[str, str | None, str | None]:
@@ -281,8 +281,7 @@ def run_llm_eval(
             if task == "categorical":
                 report.predictions.add_label(rid, parse_categorical_response(raw))
             else:
-                triple, was_clamped = parse_attribute_response(raw)
-                report.predictions.add_attributes(rid, triple, clamped=was_clamped)
+                report.predictions.add_attributes(rid, parse_attribute_response(raw)[0])
         except ParseFailure as err:
             report.failures.append({"id": rid, "reason": str(err), "raw": err.raw})
     return report

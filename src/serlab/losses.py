@@ -7,7 +7,7 @@ attribute task (MSE too, since the analysis procedures use it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,17 +38,10 @@ class ClassWeights:
 @dataclass(frozen=True)
 class FocalConfig:
     gamma: float = 2.0
-    alpha: np.ndarray = field(default_factory=lambda: np.ones(NUM_CLASSES))
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError(f"FocalConfig: gamma must be finite and >= 0, got {self.gamma}")
-        a = np.asarray(self.alpha, dtype=np.float64)
-        if a.shape != (NUM_CLASSES,):
-            raise ValueError(f"FocalConfig: alpha must have {NUM_CLASSES} entries")
-        if not np.all(np.isfinite(a) & (a > 0.0)):
-            raise ValueError("FocalConfig: alpha entries must be finite and strictly positive")
-        object.__setattr__(self, "alpha", a)
 
 
 def class_weights_from_counts(counts: Sequence[int]) -> ClassWeights:
@@ -87,10 +80,9 @@ def weighted_cross_entropy(logits: Tensor, targets: Sequence[int], weights: Clas
 
 
 def focal_loss(logits: Tensor, targets: Sequence[int], cfg: FocalConfig) -> Tensor:
-    """Mean of alpha_t * (1 - p_t)^gamma * (-log p_t) over the batch."""
+    """Mean of (1 - p_t)^gamma * (-log p_t) over the batch."""
     t = _check_logits(logits, targets)
-    per_sample = nm.focal_terms(logits, t, cfg.gamma) * cfg.alpha[t]
-    return per_sample.sum() / float(t.size)
+    return nm.focal_terms(logits, t, cfg.gamma).sum() / float(t.size)
 
 
 # ---------------------------------------------------------------------------

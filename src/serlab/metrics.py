@@ -8,7 +8,6 @@ Reports serialize to JSON and to a CSV row in the fixed column order
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -171,9 +170,6 @@ class MetricsReport:
         if self.attributes is not None:
             out["attributes"] = self.attributes.to_dict()
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_row(self, method: str) -> str:
         cells = [method]

@@ -94,10 +94,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item: tensor has {self.data.size} elements")
@@ -695,7 +691,6 @@ class ParamStore:
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, values, trainable: bool = True) -> Tensor:
         """``values`` as parameter ``name``, unchecked: they come from
@@ -704,26 +699,10 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(values, requires_grad=trainable, op="param")
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._params)
-
     def trainable_names(self) -> tuple[str, ...]:
-        return tuple(n for n, t in self._trainable.items() if t)
+        return tuple(n for n, t in self._params.items() if t.requires_grad)
 
     def value(self, name: str) -> Array:
         return self._params[name].data
@@ -742,10 +721,6 @@ class ParamStore:
         """Gradient from the last ``backward``; zeros where the loss did not reach."""
         t = self._params[name]
         return t.grad if t.grad is not None else np.zeros_like(t.data)
-
-    @property
-    def grads(self) -> dict[str, Array]:
-        return {name: self.grad(name) for name in self._params}
 
     def clear_grads(self) -> None:
         for t in self._params.values():

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .losses import NUM_CLASSES
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -82,23 +84,21 @@ def shuffled_batches(n: int, batch_size: int, seed: int) -> list[list[int]]:
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def balanced_batches(
-    labels: Sequence[int], batch_size: int, seed: int, num_classes: int = 8
-) -> list[list[int]]:
-    """Batches with exactly batch_size/num_classes samples of every class.
+def balanced_batches(labels: Sequence[int], batch_size: int, seed: int) -> list[list[int]]:
+    """Batches with exactly batch_size/NUM_CLASSES samples of every class.
 
     Each class draws from its own seeded shuffle; exhausted classes are
     reshuffled and drawn again, so minorities oversample with replacement.
     Plan length is ceil(n/batch_size) regardless of imbalance.
     """
-    if batch_size % num_classes != 0:
+    if batch_size % NUM_CLASSES != 0:
         raise ValueError(
-            f"balanced_batches: batch size {batch_size} not divisible by {num_classes} classes"
+            f"balanced_batches: batch size {batch_size} not divisible by {NUM_CLASSES} classes"
         )
-    pools: list[list[int]] = [[] for _ in range(num_classes)]
+    pools: list[list[int]] = [[] for _ in range(NUM_CLASSES)]
     for idx, label in enumerate(labels):
-        if not 0 <= label < num_classes:
-            raise ValueError(f"balanced_batches: label {label} out of range [0, {num_classes})")
+        if not 0 <= label < NUM_CLASSES:
+            raise ValueError(f"balanced_batches: label {label} out of range [0, {NUM_CLASSES})")
         pools[label].append(idx)
     for c, pool in enumerate(pools):
         if not pool:
@@ -106,19 +106,19 @@ def balanced_batches(
 
     rng = Xoshiro256StarStar(seed)
     queues: list[list[int]] = []
-    cursors = [0] * num_classes
+    cursors = [0] * NUM_CLASSES
     for pool in pools:
         q = list(pool)
         rng.shuffle(q)
         queues.append(q)
 
     n = len(labels)
-    per_class = batch_size // num_classes
+    per_class = batch_size // NUM_CLASSES
     num_batches = -(-n // batch_size)
     plan: list[list[int]] = []
     for _ in range(num_batches):
         batch: list[int] = []
-        for c in range(num_classes):
+        for c in range(NUM_CLASSES):
             for _ in range(per_class):
                 if cursors[c] == len(queues[c]):
                     queues[c] = list(pools[c])

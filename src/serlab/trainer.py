@@ -87,6 +87,8 @@ class TrainConfig:
         for field in ("learning_rate", "focal_gamma"):
             if not math.isfinite(getattr(self, field)):
                 raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
+        if self.focal_gamma < 0:
+            raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.loss == "ccc_loss" and self.batch_size < 2:
             raise ValueError(f"ccc_loss needs batch_size >= 2, got {self.batch_size}")
 
@@ -183,9 +185,9 @@ def _check_metadata(meta: dict) -> None:
 class AdamState:
     """Adam's step count and moments for the parameters ``names``.
 
-    Each moment is one flat float64 buffer holding the parameters' entries
-    back to back, in ``names`` order; ``m[name]`` and ``v[name]`` are a
-    parameter's views into it.
+    Each moment is one flat float64 buffer, ``flat_m`` and ``flat_v``,
+    holding the parameters' entries back to back in ``names`` order;
+    ``views`` splits one into the parameters' shapes.
     """
 
     def __init__(self, names: Sequence[str], shapes: Sequence[tuple[int, ...]]) -> None:
@@ -205,14 +207,6 @@ class AdamState:
         b = self.bounds
         return {n: flat[b[i]:b[i + 1]].reshape(s)
                 for i, (n, s) in enumerate(zip(self.names, self.shapes))}
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return self.views(self.flat_m)
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return self.views(self.flat_v)
 
 
 def adam_step(
@@ -765,24 +759,11 @@ def predict(
     net = build_model(ckpt.metadata, params)
     _check_inputs(ckpt.metadata, records)
     task = ckpt.metadata["task"]
-    preds = PredictionSet(task=task)
+    preds = PredictionSet()
     for record, out in net.outputs(records, ckpt.metadata["config"]["batch_size"]):
         if task == "categorical":
             preds.add_label(record.id, EMOTION_CODES[int(np.argmax(out))], logits=out.copy())
         else:
             triple = tuple(float(v) for v in out)
-            if clamp:
-                triple, was_clamped = clamp_attributes(triple)
-            else:
-                was_clamped = False
-            preds.add_attributes(record.id, triple, clamped=was_clamped)
+            preds.add_attributes(record.id, clamp_attributes(triple)[0] if clamp else triple)
     return preds
-
-
-def frozen_tensor_hashes(ckpt: Checkpoint) -> dict[str, str]:
-    """SHA-256 of each encoder tensor; used to verify the freeze contract."""
-    out = {}
-    for name, arr in ckpt.tensors.items():
-        if _is_encoder(name):
-            out[name] = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
-    return out

@@ -33,7 +33,7 @@ from serlab.llmproto import (
     run_llm_eval,
 )
 from serlab.sampling import balanced_batches
-from serlab.trainer import TrainConfig, frozen_tensor_hashes, predict, train_stage1, train_stage2
+from serlab.trainer import TrainConfig, predict, train_stage1, train_stage2
 
 from helpers import MockChatServer, check_gradients
 
@@ -345,7 +345,9 @@ def small_stage1(small_records):
 
 def test_criterion_07_freeze_contract_5_runs(small_records, small_stage1):
     speech, text = small_stage1
-    source_hashes = {**frozen_tensor_hashes(speech), **frozen_tensor_hashes(text)}
+    encoders = ("speech.", "text.")
+    source = {n: a.tobytes() for c in (speech, text) for n, a in c.tensors.items()
+              if n.startswith(encoders)}
     for seed in range(5):
         fusion = "cross_attention" if seed % 2 else "concat"
         cfg = TrainConfig(
@@ -353,8 +355,9 @@ def test_criterion_07_freeze_contract_5_runs(small_records, small_stage1):
             learning_rate=0.005, epochs=2, seed=seed, batch_size=16,
         )
         ckpt = train_stage2(cfg, speech, text, small_records)
-        assert frozen_tensor_hashes(ckpt) == source_hashes, f"seed {seed} broke the freeze"
-    print("[criterion 7] PASS - SHA-256 of every frozen encoder tensor unchanged on 5 runs")
+        frozen = {n: a.tobytes() for n, a in ckpt.tensors.items() if n.startswith(encoders)}
+        assert frozen == source, f"seed {seed} broke the freeze"
+    print("[criterion 7] PASS - bytes of every frozen encoder tensor unchanged on 5 runs")
 
 
 def test_criterion_08_synthetic_end_to_end():

@@ -538,7 +538,7 @@ class TestExitCodes:
         labels = [LabelRow(f"u{i}", "test1", "A", (1.5 + i, 2.0, 4.0)) for i in range(4)]
         labels_path, pred_path = tmp_path / "labels.csv", tmp_path / "preds.csv"
         write_labels(labels_path, labels)
-        preds = PredictionSet(task="attributes")
+        preds = PredictionSet()
         for row in labels:
             preds.add_attributes(row.id, row.attributes)
         write_predictions(pred_path, preds)
@@ -648,7 +648,7 @@ class TestEvaluate:
         ]
         labels_path = tmp_path / "labels.csv"
         write_labels(labels_path, labels)
-        preds = PredictionSet(task="both")
+        preds = PredictionSet()
         for row in labels:
             preds.ids.append(row.id)
             preds.labels[row.id] = row.emotion
@@ -670,7 +670,7 @@ class TestEvaluate:
     def test_unknown_prediction_id_rejected(self, tmp_path):
         labels_path = tmp_path / "labels.csv"
         write_labels(labels_path, [LabelRow("u1", "test1", "A", None)])
-        preds = PredictionSet(task="categorical")
+        preds = PredictionSet()
         preds.add_label("zz", "A")
         pred_path = tmp_path / "preds.csv"
         write_predictions(pred_path, preds)
@@ -949,6 +949,24 @@ class TestLlmCommands:
         assert f"{transcripts}: line 3: duplicate id 'u1'" in capsys.readouterr().err
         assert server.requests == []
 
+    def test_cache_in_missing_directory_fails_before_any_request(self, tmp_path, capsys):
+        transcripts = tmp_path / "tr.csv"
+        self._transcripts(transcripts, [["u1", "what a day"], ["u2", "the worst"]])
+        cache = tmp_path / "missing" / "c.jsonl"
+        server = MockChatServer(lambda prompt: "Sadness")
+        try:
+            code = cli_dispatch(
+                ["llm", "run", "--task", "categorical", "--transcripts", str(transcripts),
+                 "--endpoint", server.url, "--model", "mock", "--cache", str(cache),
+                 "--out", str(tmp_path / "p.csv")]
+            )
+        finally:
+            server.shutdown()
+        assert code == 1
+        assert f"--cache {cache}: directory" in capsys.readouterr().err
+        assert server.requests == []
+        assert not (tmp_path / "p.csv").exists()
+
 
 def _bytes_under(root: Path) -> dict:
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -1043,4 +1061,20 @@ class TestOutputsLandTogether:
             argv = self._train(dataset, tmp_path)[:-4] + flags[1:]
         assert cli_dispatch(argv + ["--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train-stage1", "--modality", "text", "--task", "attributes"],
+        ["sweep", "table2"],
+    ], ids=["train-stage1 attributes", "sweep table2"])
+    def test_negative_focal_gamma_is_validation_error(self, dataset, tmp_path, capsys,
+                                                      monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(trainer, "train_stage1", lambda *a, **k: trained.append(a))
+        out = tmp_path / "out"
+        argv = command + ["--data", str(dataset), "--seed", "3", "--epochs", "1",
+                          "--focal-gamma", "-1", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert "focal_gamma must be >= 0" in capsys.readouterr().err
+        assert trained == []
         assert not out.exists()

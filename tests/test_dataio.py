@@ -457,7 +457,7 @@ class TestUtteranceRecord:
 
 class TestPredictionsCsv:
     def test_round_trip(self, tmp_path):
-        preds = dataio.PredictionSet(task="both")
+        preds = dataio.PredictionSet()
         preds.add_label("u1", "A")
         preds.add_attributes("u2", (1.5, 3.0, 6.5))
         path = tmp_path / "p.csv"

@@ -133,18 +133,14 @@ class TestFocalLoss:
             )
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    def test_alpha_validation(self):
+    def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             losses.FocalConfig(gamma=-1.0)
-        with pytest.raises(ValueError, match="alpha"):
-            losses.FocalConfig(alpha=np.ones(4))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_constants_rejected_when_built(self, bad):
         entries = np.ones(8)
         entries[3] = bad
-        with pytest.raises(ValueError, match="alpha entries must be finite"):
-            losses.FocalConfig(alpha=entries)
         with pytest.raises(ValueError, match="weights must be finite"):
             losses.ClassWeights(entries)
 
@@ -271,7 +267,7 @@ class TestExtremeLogits:
             build = lambda s: losses.focal_loss(s["logits"], targets, losses.FocalConfig(gamma=2.0))
         store = nm.ParamStore()
         store.add("logits", self._logits())
-        loss = build(store)
+        loss = build(store.view(""))
         nm.backward(loss, store)
         grad = store.grad("logits")
         # -log p_t is 1000 and 800 + log 7; both samples share the class weight
@@ -305,7 +301,7 @@ class TestClosedFormOps:
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=scale, size=(batch, 8))
         t = rng.integers(0, 8, size=batch)
-        cfg = losses.FocalConfig(gamma=gamma, alpha=rng.uniform(0.25, 4.0, size=8))
+        cfg = losses.FocalConfig(gamma=gamma)
         weights = losses.ClassWeights(rng.uniform(0.25, 4.0, size=8))
         pairs = [
             (lambda x: losses.focal_loss(x, t, cfg), lambda x: oracle_focal_loss(x, t, cfg)),
@@ -355,11 +351,11 @@ class TestClosedFormOps:
         truth = rng.uniform(1, 7, size=(batch, 3))
         pred = nm.tensor(truth + rng.normal(size=(batch, 3)))
         built = [
-            (losses.focal_loss(logits, t, losses.FocalConfig()), logits),
-            (losses.weighted_cross_entropy(logits, t, losses.ClassWeights.uniform()), logits),
-            (losses.ccc_loss(pred, truth), pred),
+            (losses.focal_loss(logits, t, losses.FocalConfig()), logits, 4),
+            (losses.weighted_cross_entropy(logits, t, losses.ClassWeights.uniform()), logits, 6),
+            (losses.ccc_loss(pred, truth), pred, 6),
         ]
-        for loss, leaf in built:
+        for loss, leaf, nodes in built:
             seen, todo = {id(loss)}, [loss]
             while todo:
                 for p in todo.pop()._parents:
@@ -367,4 +363,4 @@ class TestClosedFormOps:
                         seen.add(id(p))
                         todo.append(p)
             assert id(leaf) in seen
-            assert len(seen) - 1 == 6
+            assert len(seen) - 1 == nodes

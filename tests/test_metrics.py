@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serlab import metrics
+from serlab import dataio, metrics
 from serlab.metrics import (
     AttributeReport,
     MetricsReport,
@@ -110,12 +110,13 @@ class TestCsvAndJson:
         row = MetricsReport(classification=rep, attributes=att).csv_row("m")
         assert row == "m,1.000,1.000,1.000,1.000,1.000,1.000,1.000"
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         import json
 
         truth = ["A", "C"] * 3
         rep = MetricsReport(classification=classification_metrics(truth, truth))
-        doc = json.loads(rep.to_json())
+        dataio.write_json(tmp_path / "report.json", rep.to_dict())
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["classification"]["accuracy"] == 1.0
 
 

@@ -166,7 +166,7 @@ class TestEncoderForward:
         rng = np.random.default_rng(seed)
         for name, arr in model.init_params(model.encoder_shapes(cfg), rng).items():
             store.add(name, arr)
-        return store, {n: store[n] for n in store.names()}
+        return store, store.view("")
 
     def test_output_dim_independent_of_length(self):
         cfg = model.EncoderCfg("speech", frame_dim=5, hidden_dim=4, out_dim=6)

@@ -31,7 +31,7 @@ def _grads(arrays, weights, forward):
     view = {name: store.add(name, arr) for name, arr in arrays.items()}
     out = forward(view)
     nm.backward((out * nm.tensor(weights)).sum(), store)
-    return out.data, store.grads
+    return out.data, {name: store.grad(name) for name in arrays}
 
 
 @pytest.mark.parametrize("modality", ["speech", "text"])
@@ -205,7 +205,7 @@ def test_predict_independent_of_chunk_size(records, checkpoints, name):
     assert single.ids == full.ids
     assert single.labels == full.labels
     for rid in full.ids:
-        if full.task == "categorical":
+        if ckpt.metadata["task"] == "categorical":
             assert np.max(np.abs(single.logits[rid] - full.logits[rid])) <= 1e-12
         else:
             assert np.max(np.abs(np.subtract(single.attributes[rid], full.attributes[rid]))) <= 1e-12

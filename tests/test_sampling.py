@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -135,3 +137,29 @@ class TestBalancedBatches:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             balanced_batches([0, 1, 2, 9], 8, seed=0)
+
+
+class TestPinnedPlans:
+    """Whole plans pinned by their SHA-256, so a faster shuffle or sampler
+    must reproduce every batch of every plan, not only the generator's
+    reference values."""
+
+    IMBALANCED = [c for c, n in enumerate([120, 40, 25, 60, 15, 35, 10, 30]) for _ in range(n)]
+
+    @staticmethod
+    def _sha(plan) -> str:
+        return hashlib.sha256(json.dumps(plan, separators=(",", ":")).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed,digest", [
+        (7, "e297f777b50eced13616d005ec29089c61f22b92f2b81987092e5aaee6519124"),
+        (2024, "cfb9fdfdf49a05083f58fb3278d1057c630cd6dfd7d5f091576abc8fb0b4539a"),
+    ])
+    def test_shuffled_plan(self, seed, digest):
+        assert self._sha(shuffled_batches(2000, 32, seed)) == digest
+
+    @pytest.mark.parametrize("seed,digest", [
+        (7, "e0327a1e288a7bbcb3263c2b0cbfc6cc65f9d66c7ddcc5dd509c2823f1d30bc6"),
+        (2024, "ec06a542075da75854c0dc4b4fcf3bf11ed2cda2fccc74b62ef3e0f676029817"),
+    ])
+    def test_balanced_plan_on_imbalanced_labels(self, seed, digest):
+        assert self._sha(balanced_batches(self.IMBALANCED, 32, seed)) == digest
