@@ -110,6 +110,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(",") if v != "")
@@ -363,101 +373,83 @@ def _cmd_llm_score(args) -> None:
     print(f"excluded {len(excluded)} unscored ids")
 
 
+# a row: its method and the TrainConfig fields it sets over the sweep's flags
 TABLE1_ROWS = (
-    ("Cross Attention", "cross_attention", "relu"),
-    ("Concat", "concat", "relu"),
-    ("Concat (Mish)", "concat", "mish"),
+    ("Cross Attention", {"fusion": "cross_attention", "activation": "relu"}),
+    ("Concat", {"fusion": "concat", "activation": "relu"}),
+    ("Concat (Mish)", {"fusion": "concat", "activation": "mish"}),
 )
 
 TABLE2_ROWS = (
-    ("WCE", "wce", "shuffled", None),
-    ("Balanced Sample", "focal", "balanced", 0.0),
-    ("Focal Loss", "focal", "shuffled", None),
+    ("WCE", {"loss": "wce"}),
+    ("Balanced Sample", {"loss": "focal", "sampler": "balanced", "focal_gamma": 0.0}),
+    ("Focal Loss", {"loss": "focal"}),
 )
 
 
-def _run_sweep_rows(jobs, run_one, parallel: int) -> list[str]:
-    """Row CSV lines in job order; rows fan out to processes when asked.
+def _sweep_configs(args, table, stage: int, tasks) -> list:
+    """Each row's method and its TrainConfigs, one per task.  A sweep builds
+    them all before it reads a file, so a bad config fails before any run."""
+    given = _given_fields(TrainConfig, args)
+    return [(method, [TrainConfig(**{**given, **fields, "stage": stage, "task": task})
+                      for task in tasks])
+            for method, fields in table]
+
+
+def _sweep_row(job) -> str:
+    """A row's CSV line: each config trained (stage 2 on the sources, the
+    speech and text stage-1 checkpoints), its model scored on the scored
+    split, and the categorical and attribute cells merged."""
+    method, cfgs, data = job
+    reports = {}
+    for cfg in cfgs:
+        if cfg.stage == 1:
+            ckpt = trainer.train_stage1(cfg, data["records"])
+        else:
+            ckpt = trainer.train_stage2(cfg, *data["sources"], data["records"])
+        reports[cfg.task] = _build_report(trainer.predict(ckpt, data["scored"]), data["truth"])
+    empty = MetricsReport()
+    return MetricsReport(
+        classification=reports.get("categorical", empty).classification,
+        attributes=reports.get("attributes", empty).attributes,
+    ).csv_row(method)
+
+
+def _run_sweep(args, rows, records, sources=()) -> None:
+    """Run the rows, in order, and write the table; rows fan out to at most
+    one process each when ``--parallel`` asks.
 
     Each row is a deterministic run.  What rows share is frozen concat rows,
     reused only for the same encoders and chunk, so a reused row has the
     bytes a fresh encode gives, and process-level parallelism cannot change
     a row's output.
     """
-    if parallel > 1:
+    scored = _select_split(records, args.split)
+    data = {"records": records, "sources": sources, "scored": scored, "truth": _truth_of(scored)}
+    jobs = [(method, cfgs, data) for method, cfgs in rows]
+    if args.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(run_one, jobs))
+        with ProcessPoolExecutor(max_workers=min(args.parallel, len(jobs))) as pool:
+            lines = list(pool.map(_sweep_row, jobs))
     else:
-        rows = [run_one(job) for job in jobs]
-    for row in rows:
-        print(row)
-    return rows
-
-
-def _sweep_data(args, modalities) -> dict:
-    """The dataset, loaded once per sweep, and the scored split's truth."""
-    records = _load_records(args.data, modalities)
-    eval_records = _select_split(records, args.split)
-    return {"records": records, "eval_records": eval_records, "truth": _truth_of(eval_records)}
-
-
-def _table1_row(job) -> str:
-    method, fusion, activation, opts = job
-    parts: dict[str, MetricsReport] = {}
-    for task in ("categorical", "attributes"):
-        cfg = TrainConfig(
-            stage=2, task=task, fusion=fusion, activation=activation, seed=opts["seed"],
-            batch_size=opts["batch_size"], attn_dim=opts["attn_dim"],
-            learning_rate=opts["lr"], epochs=opts["epochs"],
-        )
-        ckpt = trainer.train_stage2(cfg, opts["speech_ckpt"], opts["text_ckpt"], opts["records"])
-        preds = trainer.predict(ckpt, opts["eval_records"])
-        parts[task] = _build_report(preds, opts["truth"])
-    combined = MetricsReport(
-        classification=parts["categorical"].classification,
-        attributes=parts["attributes"].attributes,
-    )
-    return combined.csv_row(method)
+        lines = [_sweep_row(job) for job in jobs]
+    for line in lines:
+        print(line)
+    _write_table(args.out, lines)
 
 
 def _cmd_sweep_table1(args) -> None:
-    opts = _sweep_data(args, model.MODALITIES)
-    opts.update({
-        "seed": args.seed,
-        "speech_ckpt": Checkpoint.load(args.speech_ckpt),
-        "text_ckpt": Checkpoint.load(args.text_ckpt),
-        "batch_size": args.batch_size, "attn_dim": args.attn_dim,
-        "lr": args.lr, "epochs": args.epochs,
-    })
-    jobs = [(method, fusion, activation, opts) for method, fusion, activation in TABLE1_ROWS]
+    rows = _sweep_configs(args, TABLE1_ROWS, stage=2, tasks=model.TASKS)
+    records = _load_records(args.data, model.MODALITIES)
+    sources = (Checkpoint.load(args.speech_ckpt), Checkpoint.load(args.text_ckpt))
     with trainer.sharing_frozen_rows():  # its concat runs encode each chunk once
-        rows = _run_sweep_rows(jobs, _table1_row, args.parallel)
-    _write_table(args.out, rows)
-
-
-def _table2_row(job) -> str:
-    method, loss, sampler, gamma, opts = job
-    cfg = TrainConfig(
-        stage=1, task="categorical", modality=opts["modality"], loss=loss, sampler=sampler,
-        seed=opts["seed"], batch_size=opts["batch_size"],
-        focal_gamma=gamma if gamma is not None else opts["focal_gamma"],
-        learning_rate=opts["lr"], epochs=opts["epochs"],
-    )
-    ckpt = trainer.train_stage1(cfg, opts["records"])
-    preds = trainer.predict(ckpt, opts["eval_records"])
-    return _build_report(preds, opts["truth"]).csv_row(method)
+        _run_sweep(args, rows, records, sources)
 
 
 def _cmd_sweep_table2(args) -> None:
-    opts = _sweep_data(args, (args.modality,))
-    opts.update({
-        "seed": args.seed, "modality": args.modality, "batch_size": args.batch_size,
-        "focal_gamma": args.focal_gamma, "lr": args.lr, "epochs": args.epochs,
-    })
-    jobs = [(method, loss, sampler, gamma, opts) for method, loss, sampler, gamma in TABLE2_ROWS]
-    _write_table(args.out, _run_sweep_rows(jobs, _table2_row, args.parallel))
+    rows = _sweep_configs(args, TABLE2_ROWS, stage=1, tasks=("categorical",))
+    _run_sweep(args, rows, _load_records(args.data, (args.modality,)))
 
 
 def _differing(hashes: dict[str, str]) -> list[str]:
@@ -522,10 +514,11 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test1", choices=list(dataio.SPLITS))
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--parallel", type=int, default=1, help="process-level fan-out over rows")
+    p.add_argument("--parallel", type=_positive_int, default=1,
+                   help="process-level fan-out over rows, at most one process per row")
     p.add_argument("--out", required=True, help="output CSV")
 
 

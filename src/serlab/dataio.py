@@ -301,6 +301,8 @@ def write_embeddings(path, items: Sequence[tuple[str, np.ndarray]], dim: int | N
             dim = first.shape[1]
     elif dim is None:
         raise ValueError("dim is required when writing an empty embeddings file")
+    if dim < 1:
+        raise ValueError(f"feature dim must be >= 1, got {dim}")
     with atomic_write(path, binary=True) as f:
         f.write(struct.pack("<4sIIQ", EMB_MAGIC, EMB_VERSION, dim, len(items)))
         for name, mat in items:
@@ -588,20 +590,18 @@ def gen_synthetic(cfg: SynthConfig) -> list[UtteranceRecord]:
 
 
 def write_dataset(out_dir, records: Sequence[UtteranceRecord]) -> dict[str, Path]:
-    """Write speech/text FEMB files plus the labels CSV into a directory."""
+    """Write the labels CSV, and a speech or text FEMB file when some record
+    has those features, into a directory; the paths written, by kind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "speech": out / "speech.femb",
-        "text": out / "text.femb",
-        "labels": out / "labels.csv",
+    features = {
+        "speech": [(r.id, r.speech_frames) for r in records if r.speech_frames is not None],
+        "text": [(r.id, r.text_tokens) for r in records if r.text_tokens is not None],
     }
-    speech = [(r.id, r.speech_frames) for r in records if r.speech_frames is not None]
-    text = [(r.id, r.text_tokens) for r in records if r.text_tokens is not None]
-    sdim = speech[0][1].shape[1] if speech else 0
-    tdim = text[0][1].shape[1] if text else 0
-    write_embeddings(paths["speech"], speech, dim=sdim)
-    write_embeddings(paths["text"], text, dim=tdim)
+    paths = {modality: out / f"{modality}.femb" for modality, items in features.items() if items}
+    for modality, path in paths.items():
+        write_embeddings(path, features[modality])
+    paths["labels"] = out / "labels.csv"
     rows = [
         LabelRow(id=r.id, split=r.split, emotion=r.emotion, attributes=r.attributes)
         for r in records

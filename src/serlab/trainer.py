@@ -91,6 +91,9 @@ class TrainConfig:
             raise ValueError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.loss == "ccc_loss" and self.batch_size < 2:
             raise ValueError(f"ccc_loss needs batch_size >= 2, got {self.batch_size}")
+        if self.sampler == "balanced" and self.batch_size % losses.NUM_CLASSES:
+            raise ValueError(f"sampler 'balanced' needs batch_size a multiple of "
+                             f"{losses.NUM_CLASSES}, got {self.batch_size}")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -467,35 +470,6 @@ def _check_each(cfgs: Mapping[str, model.EncoderCfg], records: Sequence[Utteranc
                 raise ValueError(f"record {r.id!r}: non-finite {modality} features")
 
 
-def _frozen_part(meta: dict, params: nm.ParamStore) -> Callable[[Sequence[UtteranceRecord]], object]:
-    """``records -> arrays``: what the head reads, with no graph left behind.
-
-    Stage 1 freezes nothing, so this only picks each record's frames.  In
-    stage 2 it runs the frozen encoders once per modality over the packed
-    batch: for concat fusion the whole encoders, giving B x F rows, speech
-    first, through a ``FrozenRows``; for cross-attention the frame layers,
-    giving each modality's packed per-frame hiddens with their
-    ``Segments``, speech first.  Records are assumed to pass
-    ``_check_inputs``.
-    """
-    cfgs = _encoder_cfgs(meta)
-    if meta["stage"] == 1:
-        (modality,) = cfgs
-        return lambda records: [_modality_features(r, modality) for r in records]
-    views = {modality: params.view(f"{modality}.") for modality in model.MODALITIES}
-    if meta["fusion"] == "concat":
-        return FrozenRows(cfgs, views)
-
-    def hiddens(records: Sequence[UtteranceRecord]) -> list:
-        out = []
-        for modality in model.MODALITIES:
-            frames, segments = model.pack([_modality_features(r, modality) for r in records])
-            out.append((model.frame_hidden(cfgs[modality], views[modality], frames).data, segments))
-        return out
-
-    return hiddens
-
-
 # (encoder tensors' sha256, a chunk's record ids) -> the chunk's concat rows,
 # shared by every model built inside a ``sharing_frozen_rows`` block
 _shared_rows: ContextVar[dict | None] = ContextVar("serlab_frozen_rows", default=None)
@@ -593,27 +567,43 @@ class Model:
 def build_model(meta: dict, params: nm.ParamStore) -> Model:
     """The model a checkpoint's metadata describes, over ``params``.
 
-    Training and ``predict`` both build their forward pass here.
+    Training and ``predict`` both build their forward pass here.  Stage 1
+    freezes nothing, so its frozen part only picks each record's frames.  In
+    stage 2 the frozen part runs the frozen encoders once per modality over
+    the packed batch: for concat fusion the whole encoders, giving B x F
+    rows, speech first, through a ``FrozenRows``; for cross-attention the
+    frame layers, giving each modality's packed per-frame hiddens with their
+    ``Segments``, speech first.  Records are assumed to pass ``_check_inputs``.
     """
-    frozen = _frozen_part(meta, params)
-    activation, fusion = meta["config"]["activation"], meta.get("fusion")  # stage 1: no fusion
-    head_view = params.view("head.")
+    cfgs = _encoder_cfgs(meta)
+    views = {modality: params.view(f"{modality}.") for modality in cfgs}
+    activation, head_view = meta["config"]["activation"], params.view("head.")
 
     if meta["stage"] == 1:
-        ((modality, enc_cfg),) = _encoder_cfgs(meta).items()
-        enc_view = params.view(f"{modality}.")
+        ((modality, enc_cfg),) = cfgs.items()
+
+        def frozen(records: Sequence[UtteranceRecord]) -> list:
+            return [_modality_features(r, modality) for r in records]
 
         def head(frames: Sequence[np.ndarray]) -> nm.Tensor:
-            emb = model.encoder_forward(enc_cfg, enc_view, *model.pack(frames))
+            emb = model.encoder_forward(enc_cfg, views[modality], *model.pack(frames))
             return model.fusion_head_forward(activation, head_view, emb)
 
-    elif fusion == "concat":
+    elif meta["fusion"] == "concat":
+        frozen = FrozenRows(cfgs, views)
 
         def head(rows: np.ndarray) -> nm.Tensor:
             return model.fusion_head_forward(activation, head_view, nm.Tensor(rows))
 
     else:
         fuse_view = params.view("fusion.")
+
+        def frozen(records: Sequence[UtteranceRecord]) -> list:
+            out = []
+            for m in model.MODALITIES:
+                frames, segments = model.pack([_modality_features(r, m) for r in records])
+                out.append((model.frame_hidden(cfgs[m], views[m], frames).data, segments))
+            return out
 
         def head(features: Sequence[tuple[np.ndarray, model.Segments]]) -> nm.Tensor:
             (hs, speech), (ht, text) = features

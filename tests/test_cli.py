@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -787,6 +788,66 @@ class TestSweeps:
         assert cli_dispatch(base + ["--parallel", "2", "--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    @pytest.mark.parametrize("table, flags, message", [
+        ("table1", ["--batch-size", "1"], "ccc_loss needs batch_size >= 2, got 1"),
+        ("table2", ["--batch-size", "12"], "needs batch_size a multiple of 8, got 12"),
+    ])
+    def test_bad_config_fails_before_any_read_or_run(self, dataset, stage1_ckpts, tmp_path,
+                                                     capsys, monkeypatch, table, flags, message):
+        runs, reads = [], []
+        monkeypatch.setattr(trainer, "train_stage1", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(trainer, "train_stage2", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(dataio, "load_dataset", lambda *a: reads.append(a))
+        monkeypatch.setattr(Checkpoint, "load", lambda path: reads.append(path))
+        ckpts = ["--speech-ckpt", str(stage1_ckpts[0]), "--text-ckpt", str(stage1_ckpts[1])]
+        out = tmp_path / "table.csv"
+        argv = ["sweep", table, "--data", str(dataset), "--seed", "3", "--epochs", "1",
+                *(ckpts if table == "table1" else []), *flags, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert message in capsys.readouterr().err
+        assert runs == [] and reads == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_parallel_below_1_is_validation_error(self, dataset, tmp_path, capsys,
+                                                  monkeypatch, value):
+        runs = []
+        monkeypatch.setattr(trainer, "train_stage1", lambda *a, **k: runs.append(a))
+        out = tmp_path / "table2.csv"
+        argv = ["sweep", "table2", "--data", str(dataset), "--seed", "2", "--epochs", "1",
+                f"--parallel={value}", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert "--parallel" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
+    def test_parallel_pool_has_at_most_one_worker_per_row(self, dataset, tmp_path,
+                                                          monkeypatch):
+        workers = []
+
+        class InProcessPool:  # records the pool size; forks nothing
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        base = ["sweep", "table2", "--data", str(dataset), "--seed", "2", "--lr", "0.01",
+                "--epochs", "1"]
+        seq, wide, two = (tmp_path / f"{name}.csv" for name in ("seq", "wide", "two"))
+        assert cli_dispatch(base + ["--out", str(seq)]) == 0
+        assert cli_dispatch(base + ["--parallel", "64", "--out", str(wide)]) == 0
+        assert cli_dispatch(base + ["--parallel", "2", "--out", str(two)]) == 0
+        assert workers == [3, 2]
+        assert seq.read_bytes() == wide.read_bytes() == two.read_bytes()
+
     def test_table1_encodes_each_chunk_once(self, dataset, stage1_ckpts, tmp_path, monkeypatch):
         # the four concat runs read train and dev in chunks of the batch size
         # and predict test1 in the same chunks: one encode per chunk and modality
@@ -1061,6 +1122,19 @@ class TestOutputsLandTogether:
             argv = self._train(dataset, tmp_path)[:-4] + flags[1:]
         assert cli_dispatch(argv + ["--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_balanced_batch_size_fails_before_loading(self, dataset, tmp_path, capsys,
+                                                      monkeypatch):
+        reads = []
+        monkeypatch.setattr(dataio, "load_dataset", lambda *a: reads.append(a))
+        out = tmp_path / "out"
+        argv = self._train(dataset, tmp_path)[:-4] + ["--sampler", "balanced",
+                                                      "--batch-size", "12", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert "sampler 'balanced' needs batch_size a multiple of 8, got 12" in (
+            capsys.readouterr().err)
+        assert reads == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

@@ -103,6 +103,12 @@ class TestEmbeddingsFormat:
         with pytest.raises(ValueError, match="expected T x 2"):
             write_embeddings(tmp_path / "x.femb", [("a", np.ones((1, 2))), ("b", np.ones((1, 3)))])
 
+    @pytest.mark.parametrize("items, dim", [([], 0), ([("a", np.ones((2, 0)))], None)])
+    def test_zero_feature_dim_rejected(self, tmp_path, items, dim):
+        with pytest.raises(ValueError, match="feature dim must be >= 1, got 0"):
+            write_embeddings(tmp_path / "x.femb", items, dim=dim)
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "keep.femb"
         write_embeddings(path, [("a", np.ones((2, 4)))])
@@ -404,6 +410,17 @@ class TestSynthetic:
             assert a.split == b.split and a.emotion == b.emotion
             # embeddings stored as float32: round-trip through storage precision
             assert np.array_equal(b.speech_frames, a.speech_frames.astype(np.float32))
+
+
+    def test_dataset_without_text_round_trips(self, tmp_path):
+        records = gen_synthetic(SynthConfig(class_counts=(3,) * 8, seed=7))
+        for r in records:
+            r.text_tokens = None
+        paths = write_dataset(tmp_path, records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv", "speech.femb"]
+        assert read_embeddings(paths["speech"])[0][0] == records[0].id
+        back = dataio.load_dataset(tmp_path, ("speech",))
+        assert [(r.id, r.text_tokens) for r in back] == [(r.id, None) for r in records]
 
 
 class TestSeparabilityEndpoints:

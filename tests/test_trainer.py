@@ -177,6 +177,12 @@ class TestStage1:
         ckpt = train_stage1(cfg, tiny_records)
         assert ckpt.metadata["config"]["sampler"] == "balanced"
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_balanced_sampler_needs_whole_class_batches(self, stage):
+        with pytest.raises(ValueError, match="sampler 'balanced' needs batch_size a multiple "
+                                             "of 8, got 12"):
+            _quick_cfg(stage=stage, sampler="balanced", batch_size=12)
+
     def test_attribute_training_with_mse(self, tiny_records):
         cfg = _quick_cfg(task="attributes", loss="mse", epochs=2)
         ckpt = train_stage1(cfg, tiny_records)
