@@ -152,10 +152,6 @@ def _select_split(records, split: str):
     return selected
 
 
-def _truth_of(records) -> dict[str, LabelRow]:
-    return {r.id: LabelRow(r.id, r.split, r.emotion, r.attributes) for r in records}
-
-
 def _labels_by_id(labels_path, split: str | None) -> dict[str, LabelRow]:
     rows = dataio.read_labels(labels_path)
     if split is not None:
@@ -164,7 +160,8 @@ def _labels_by_id(labels_path, split: str | None) -> dict[str, LabelRow]:
 
 
 def _truth_rows(ids, truth: dict[str, LabelRow], need: str) -> list:
-    """The ``need`` field (``emotion`` or ``attributes``) of each id's label row."""
+    """The ``need`` field (``emotion`` or ``attributes``) of each id's label
+    row or record."""
     out = []
     for rid in ids:
         row = truth.get(rid)
@@ -202,13 +199,13 @@ def _write_table(path, rows: list[str]) -> None:
 
 
 def _write_report(out_prefix, method: str, report: MetricsReport, extra: dict | None = None):
-    out = Path(out_prefix)
-    _write_table(out.with_suffix(".csv"), [report.csv_row(method)])
+    """``<out_prefix>.csv`` and ``<out_prefix>.json``, the prefix kept as typed."""
+    _write_table(Path(f"{out_prefix}.csv"), [report.csv_row(method)])
     doc = report.to_dict()
     doc["method"] = method
     if extra:
         doc.update(extra)
-    dataio.write_json(out.with_suffix(".json"), doc)
+    dataio.write_json(Path(f"{out_prefix}.json"), doc)
 
 
 def _attribute_column(preds: PredictionSet, attribute: str) -> tuple[list[str], list[float]]:
@@ -425,7 +422,8 @@ def _run_sweep(args, rows, records, sources=()) -> None:
     a row's output.
     """
     scored = _select_split(records, args.split)
-    data = {"records": records, "sources": sources, "scored": scored, "truth": _truth_of(scored)}
+    data = {"records": records, "sources": sources, "scored": scored,
+            "truth": {r.id: r for r in scored}}
     jobs = [(method, cfgs, data) for method, cfgs in rows]
     if args.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -681,12 +679,17 @@ def _check_out_dirs(args) -> None:
 
 def cli_dispatch(argv: list[str]) -> int:
     """Run one command.  Its outputs land together once it succeeds, with
-    its manifest last; if it fails, none lands and earlier files stay."""
+    its manifest last; if it fails, or an output is a file it parsed, none
+    lands and earlier files stay."""
     try:
         with dataio.recording_reads(), dataio.staging_writes():
             args = _parser().parse_args(_with_config(list(argv)))
             _check_out_dirs(args)
             args.func(args)
+            read = {Path(p).resolve() for p in dataio.recorded_reads()}
+            replaced = next((p for p in dataio.staged_writes() if Path(p).resolve() in read), None)
+            if replaced is not None:  # raising here lands none of the outputs
+                raise UsageError(f"{replaced}: output would overwrite an input the command read")
             if dataio.staged_writes():
                 write_manifest(args, list(argv))
         return 0

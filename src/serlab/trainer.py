@@ -111,7 +111,6 @@ class Checkpoint:
     metadata: dict
 
     def __post_init__(self) -> None:
-        _check_metadata(self.metadata)
         shapes = _param_shapes(self.metadata)
         extra = next((name for name in self.tensors if name not in shapes), None)
         if extra is not None:
@@ -165,24 +164,6 @@ def _meta_value(meta: dict, key: str, choices: tuple | None = None):
     elif type(value) not in (int, str) or value not in choices:
         raise ValueError(f"metadata {key!r} must be one of {choices}, got {value!r}")
     return value
-
-
-def _check_metadata(meta: dict) -> None:
-    """Every metadata key the model builder and ``predict`` read."""
-    stage = _meta_value(meta, "stage", (1, 2))
-    _meta_value(meta, "task", model.TASKS)
-    _meta_value(meta, "config.activation", model.ACTIVATIONS)
-    _meta_value(meta, "config.batch_size")
-    if stage == 1:
-        _meta_value(meta, "modality", model.MODALITIES)
-        encoders = ["encoder"]
-    else:
-        if _meta_value(meta, "fusion", model.FUSION_KINDS) == "cross_attention":
-            _meta_value(meta, "attn_dim")
-        encoders = [f"{m}_encoder" for m in model.MODALITIES]
-    for enc in encoders:
-        for dim in ("frame_dim", "hidden_dim", "out_dim"):
-            _meta_value(meta, f"{enc}.{dim}")
 
 
 class AdamState:
@@ -405,12 +386,14 @@ def _log_lines(history: Sequence[dict]) -> str:
 # the model builder
 
 def _encoder_cfgs(meta: dict) -> dict[str, model.EncoderCfg]:
-    """Encoder configs by modality, from stage-1 or stage-2 metadata."""
-    if meta["stage"] == 1:
-        encoders = {meta["modality"]: meta["encoder"]}
+    """Encoder configs by modality, from stage-1 or stage-2 metadata, each
+    key checked as it is read."""
+    if _meta_value(meta, "stage", (1, 2)) == 1:
+        encoders = {_meta_value(meta, "modality", model.MODALITIES): "encoder"}
     else:
-        encoders = {m: meta[f"{m}_encoder"] for m in model.MODALITIES}
-    return {m: model.EncoderCfg(m, enc["frame_dim"], enc["hidden_dim"], enc["out_dim"])
+        encoders = {m: f"{m}_encoder" for m in model.MODALITIES}
+    dims = ("frame_dim", "hidden_dim", "out_dim")
+    return {m: model.EncoderCfg(m, *(_meta_value(meta, f"{enc}.{dim}") for dim in dims))
             for m, enc in encoders.items()}
 
 
@@ -619,20 +602,20 @@ def _param_shapes(meta: dict) -> model.Shapes:
     """The shape of every tensor a checkpoint with metadata ``meta`` holds,
     by name, in the order training adds them: the encoders (which stage 2
     loads frozen from its stage-1 sources), stage 2's fusion projections,
-    then the head."""
+    then the head.  Reads every metadata key the model builder and
+    ``predict`` read, each checked as it is read."""
     cfgs = _encoder_cfgs(meta)
+    out_dim = model.TASK_OUT_DIMS[_meta_value(meta, "task", model.TASKS)]
+    _meta_value(meta, "config.activation", model.ACTIVATIONS)
+    _meta_value(meta, "config.batch_size")
     parts = [(f"{modality}.", model.encoder_shapes(cfg)) for modality, cfg in cfgs.items()]
-    if meta["stage"] == 1:
-        head_in = cfgs[meta["modality"]].out_dim
-    elif meta["fusion"] == "cross_attention":
-        fuse = model.cross_attention_shapes(
-            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, meta["attn_dim"]
-        )
-        parts.append(("fusion.", fuse))
-        head_in = meta["attn_dim"]
-    else:
-        head_in = cfgs["speech"].out_dim + cfgs["text"].out_dim
-    parts.append(("head.", model.head_shapes(head_in, model.TASK_OUT_DIMS[meta["task"]])))
+    head_in = sum(cfg.out_dim for cfg in cfgs.values())
+    # only a two-encoder (stage-2) model has a fusion
+    if len(cfgs) == 2 and _meta_value(meta, "fusion", model.FUSION_KINDS) == "cross_attention":
+        head_in = _meta_value(meta, "attn_dim")
+        parts.append(("fusion.", model.cross_attention_shapes(
+            cfgs["speech"].hidden_dim, cfgs["text"].hidden_dim, head_in)))
+    parts.append(("head.", model.head_shapes(head_in, out_dim)))
     return {prefix + name: shape for prefix, shapes in parts for name, shape in shapes.items()}
 
 

@@ -51,6 +51,21 @@ def stage1_ckpts(dataset, tmp_path_factory):
     return speech, text
 
 
+@pytest.fixture(scope="module")
+def stage2_ckpts(dataset, stage1_ckpts, tmp_path_factory):
+    """A one-epoch stage-2 checkpoint of each fusion kind, by kind."""
+    d = tmp_path_factory.mktemp("stage2")
+    speech, text = stage1_ckpts
+    paths = {fusion: d / f"{fusion}.fckp" for fusion in model.FUSION_KINDS}
+    for fusion, path in paths.items():
+        assert cli_dispatch(
+            ["train-stage2", "--data", str(dataset), "--task", "categorical", "--epochs", "1",
+             "--seed", "7", "--speech-ckpt", str(speech), "--text-ckpt", str(text),
+             "--fusion", fusion, "--out", str(path)]
+        ) == 0
+    return paths
+
+
 class TestGenSynth:
     def test_outputs_and_manifest(self, dataset):
         for name in ("speech.femb", "text.femb", "labels.csv", "manifest.json"):
@@ -101,25 +116,44 @@ def _with_att_k(tensors):
             tensors["speech.att.k"] = np.zeros(1)
 
 
-# (tensors, metadata) -> None edits of a stage-1 speech checkpoint, and the error each gives
+# the checkpoint each defect edits ("speech" is the stage-1 one), its
+# (tensors, metadata) -> None edit, and the error it gives
 CHECKPOINT_DEFECTS = {
-    "no stage": (lambda t, m: m.pop("stage"), "metadata has no 'stage'"),
-    "no batch_size": (lambda t, m: m["config"].pop("batch_size"),
+    "no stage": ("speech", lambda t, m: m.pop("stage"), "metadata has no 'stage'"),
+    "no batch_size": ("speech", lambda t, m: m["config"].pop("batch_size"),
                       "metadata has no 'config.batch_size'"),
-    "batch_size 0": (lambda t, m: m["config"].update(batch_size=0),
+    "batch_size 0": ("speech", lambda t, m: m["config"].update(batch_size=0),
                      "metadata 'config.batch_size' must be an integer >= 1, got 0"),
-    "batch_size '8'": (lambda t, m: m["config"].update(batch_size="8"),
+    "batch_size '8'": ("speech", lambda t, m: m["config"].update(batch_size="8"),
                        "metadata 'config.batch_size' must be an integer >= 1, got '8'"),
-    "head.fc1.b cut": (lambda t, m: t.update({"head.fc1.b": t["head.fc1.b"][:5]}),
+    "head.fc1.b cut": ("speech", lambda t, m: t.update({"head.fc1.b": t["head.fc1.b"][:5]}),
                        "tensor 'head.fc1.b' has shape (5,), expected (16,)"),
-    "speech.frame.W cut": (lambda t, m: t.update({"speech.frame.W": t["speech.frame.W"][:, :3]}),
+    "speech.frame.W cut": ("speech",
+                           lambda t, m: t.update({"speech.frame.W": t["speech.frame.W"][:, :3]}),
                            "tensor 'speech.frame.W' has shape (12, 3), expected (12, 16)"),
-    "head.fc1.b nan": (lambda t, m: _set_entry(t, "head.fc1.b", 2, np.nan),
+    "head.fc1.b nan": ("speech", lambda t, m: _set_entry(t, "head.fc1.b", 2, np.nan),
                        "tensor 'head.fc1.b' is not finite at flat index 2"),
-    "speech.frame.W -inf": (lambda t, m: _set_entry(t, "speech.frame.W", (1, 3), -np.inf),
+    "speech.frame.W -inf": ("speech",
+                            lambda t, m: _set_entry(t, "speech.frame.W", (1, 3), -np.inf),
                             "tensor 'speech.frame.W' is not finite at flat index 19"),
-    "old speech.att.k": (lambda t, m: _with_att_k(t),
+    "old speech.att.k": ("speech", lambda t, m: _with_att_k(t),
                          "tensor 'speech.att.k' is not part of the model its metadata describes"),
+    "concat no fusion": ("concat", lambda t, m: m.pop("fusion"), "metadata has no 'fusion'"),
+    "cross_attention no fusion": ("cross_attention", lambda t, m: m.pop("fusion"),
+                                  "metadata has no 'fusion'"),
+    "fusion 'gated'": ("cross_attention", lambda t, m: m.update(fusion="gated"),
+                       "metadata 'fusion' must be one of ('concat', 'cross_attention'), "
+                       "got 'gated'"),
+    "attn_dim 0": ("cross_attention", lambda t, m: m.update(attn_dim=0),
+                   "metadata 'attn_dim' must be an integer >= 1, got 0"),
+    "concat no text_encoder.out_dim": ("concat", lambda t, m: m["text_encoder"].pop("out_dim"),
+                                       "metadata has no 'text_encoder.out_dim'"),
+    "cross_attention no text_encoder.out_dim": (
+        "cross_attention", lambda t, m: m["text_encoder"].pop("out_dim"),
+        "metadata has no 'text_encoder.out_dim'"),
+    "fusion.q.W cut": ("cross_attention",
+                       lambda t, m: t.update({"fusion.q.W": t["fusion.q.W"][:, :3]}),
+                       "tensor 'fusion.q.W' has shape (16, 3), expected (16, 16)"),
 }
 
 
@@ -329,10 +363,10 @@ class TestExitCodes:
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", list(CHECKPOINT_DEFECTS))
-    def test_malformed_checkpoint_exits_1_naming_the_key(self, dataset, stage1_ckpts, tmp_path,
-                                                          capsys, defect):
-        mutate, message = CHECKPOINT_DEFECTS[defect]
-        tensors, meta = dataio.read_checkpoint(stage1_ckpts[0])
+    def test_malformed_checkpoint_exits_1_naming_the_key(self, dataset, stage1_ckpts,
+                                                          stage2_ckpts, tmp_path, capsys, defect):
+        kind, mutate, message = CHECKPOINT_DEFECTS[defect]
+        tensors, meta = dataio.read_checkpoint({"speech": stage1_ckpts[0], **stage2_ckpts}[kind])
         mutate(tensors, meta)
         ckpt, preds = tmp_path / "c.fckp", tmp_path / "p.csv"
         dataio.write_checkpoint(ckpt, tensors, meta)
@@ -470,13 +504,13 @@ class TestExitCodes:
                              str(speech), "--text-ckpt", str(text), "--seed", "3",
                              "--epochs", "1", "--split", "test1", "--out", out],
         }[command]
-        real_check, checked = trainer._check_metadata, []
+        real_check, checked = Checkpoint.__post_init__, []
 
-        def counting_check(meta):
-            checked.append(meta)
-            return real_check(meta)
+        def counting_check(ckpt):
+            checked.append(ckpt.metadata)
+            return real_check(ckpt)
 
-        monkeypatch.setattr(trainer, "_check_metadata", counting_check)
+        monkeypatch.setattr(Checkpoint, "__post_init__", counting_check)
         assert cli_dispatch(argv) == 0
         assert len(checked) == validations
 
@@ -1089,6 +1123,35 @@ class TestOutputsLandTogether:
 
         monkeypatch.setattr(dataio, "write_json", failing_json)
         assert cli_dispatch(argv + ["--method", "second"]) == 2
+        assert _bytes_under(tmp_path) == before
+
+    def test_report_prefix_is_kept_as_typed(self, dataset, stage1_ckpts, tmp_path):
+        preds = tmp_path / "p.csv"
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(dataset),
+                             "--out", str(preds)]) == 0
+        for prefix in ("run.v1", "run.v2"):
+            assert cli_dispatch(["evaluate", "--pred", str(preds), "--labels",
+                                 str(dataset / "labels.csv"), "--out", str(tmp_path / prefix)]) == 0
+        reports = sorted(p.name for p in tmp_path.glob("run.*") if "manifest" not in p.name)
+        assert reports == ["run.v1.csv", "run.v1.json", "run.v2.csv", "run.v2.json"]
+        manifest = json.loads((tmp_path / "run.v2.manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == [str(tmp_path / "run.v2.csv"),
+                                               str(tmp_path / "run.v2.json")]
+
+    @pytest.mark.parametrize("spelling", ["{dir}/preds", "{dir}/sub/../preds"])
+    def test_output_over_a_parsed_input_is_validation_error(self, dataset, stage1_ckpts,
+                                                            tmp_path, capsys, spelling):
+        preds = tmp_path / "preds.csv"
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(dataset),
+                             "--out", str(preds)]) == 0
+        (tmp_path / "sub").mkdir()
+        before = _bytes_under(tmp_path)
+        out = spelling.format(dir=tmp_path)
+        capsys.readouterr()
+        assert cli_dispatch(["evaluate", "--pred", str(preds), "--labels",
+                             str(dataset / "labels.csv"), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}.csv: output would overwrite an input the command read\n")
         assert _bytes_under(tmp_path) == before
 
     def test_failed_manifest_lands_no_output(self, dataset, stage1_ckpts, tmp_path, monkeypatch):
