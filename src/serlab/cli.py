@@ -142,13 +142,16 @@ def _switch(text: str) -> bool:
 
 def _load_records(data_dir, modalities, split: str | None = None):
     records = dataio.load_dataset(data_dir, modalities)
-    return records if split is None else _select_split(records, split)
+    if split is None:
+        return records
+    return _select_split(records, split, Path(data_dir) / "labels.csv")
 
 
-def _select_split(records, split: str):
+def _select_split(records, split: str, labels_path):
+    """The records of ``split``, which the labels at ``labels_path`` must hold."""
     selected = [r for r in records if r.split == split]
     if not selected:
-        raise ValueError(f"no records in split {split!r}")
+        raise ValueError(f"{labels_path}: no records in split {split!r}")
     return selected
 
 
@@ -159,36 +162,39 @@ def _labels_by_id(labels_path, split: str | None) -> dict[str, LabelRow]:
     return {r.id: r for r in rows}
 
 
-def _truth_rows(ids, truth: dict[str, LabelRow], need: str) -> list:
+def _truth_rows(ids, truth: dict[str, LabelRow], need: str, labels_path) -> list:
     """The ``need`` field (``emotion`` or ``attributes``) of each id's label
-    row or record."""
+    row or record, ``truth`` read from ``labels_path``."""
     out = []
     for rid in ids:
         row = truth.get(rid)
         if row is None:
-            raise ValueError(f"prediction id {rid!r} not found in labels")
+            raise ValueError(f"{labels_path}: prediction id {rid!r} not found in labels")
         if getattr(row, need) is None:
             raise ValueError(f"record {rid!r} has no {need} label")
         out.append(getattr(row, need))
     return out
 
 
-def _build_report(preds: PredictionSet, truth: dict[str, LabelRow]) -> MetricsReport:
+def _build_report(preds: PredictionSet, truth: dict[str, LabelRow], labels_path,
+                  pred_path=None) -> MetricsReport:
+    """The metrics of ``preds``, read from ``pred_path`` (a sweep's are
+    never empty), against ``truth``, read from ``labels_path``."""
     classification = None
     attributes = None
     if preds.labels:
         ids = [rid for rid in preds.ids if rid in preds.labels]
         classification = metrics.classification_metrics(
-            [preds.labels[rid] for rid in ids], _truth_rows(ids, truth, "emotion")
+            [preds.labels[rid] for rid in ids], _truth_rows(ids, truth, "emotion", labels_path)
         )
     if preds.attributes:
         ids = [rid for rid in preds.ids if rid in preds.attributes]
         attributes = metrics.attribute_metrics(
             np.array([preds.attributes[rid] for rid in ids]),
-            np.array(_truth_rows(ids, truth, "attributes")),
+            np.array(_truth_rows(ids, truth, "attributes", labels_path)),
         )
     if classification is None and attributes is None:
-        raise ValueError("prediction file holds neither labels nor attributes")
+        raise ValueError(f"{pred_path}: prediction file holds neither labels nor attributes")
     return MetricsReport(classification=classification, attributes=attributes)
 
 
@@ -216,9 +222,9 @@ def _attribute_column(preds: PredictionSet, attribute: str) -> tuple[list[str], 
     return ids, [preds.attributes[rid][col] for rid in ids]
 
 
-def _truth_column(ids, truth: dict[str, LabelRow], attribute: str) -> list[float]:
+def _truth_column(ids, truth: dict[str, LabelRow], attribute: str, labels_path) -> list[float]:
     col = ATTRIBUTE_NAMES.index(attribute)
-    return [triple[col] for triple in _truth_rows(ids, truth, "attributes")]
+    return [triple[col] for triple in _truth_rows(ids, truth, "attributes", labels_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +268,7 @@ def _cmd_predict(args) -> None:
 def _cmd_evaluate(args) -> None:
     preds = dataio.read_predictions(args.pred)
     truth = _labels_by_id(args.labels, args.split)
-    report = _build_report(preds, truth)
+    report = _build_report(preds, truth, args.labels, args.pred)
     _write_report(args.out, args.method, report)
     print(metrics.csv_header())
     print(report.csv_row(args.method))
@@ -272,7 +278,7 @@ def _cmd_analyze_bins(args) -> None:
     preds = dataio.read_predictions(args.pred)
     truth = _labels_by_id(args.labels, args.split)
     ids, pred_col = _attribute_column(preds, args.attribute)
-    truth_col = _truth_column(ids, truth, args.attribute)
+    truth_col = _truth_column(ids, truth, args.attribute, args.labels)
     bins = metrics.binned_ccc(pred_col, truth_col, args.edges)
     doc = {
         "attribute": args.attribute,
@@ -297,7 +303,7 @@ def _cmd_analyze_stats(args) -> None:
     print(f"prediction: {metrics.format_mean_std(mean, std)}")
     if args.labels:
         truth = _labels_by_id(args.labels, args.split)
-        truth_col = _truth_column(ids, truth, args.attribute)
+        truth_col = _truth_column(ids, truth, args.attribute, args.labels)
         tmean, tstd = metrics.prediction_stats(truth_col)
         doc["truth"] = {
             "mean": tmean, "std": tstd, "formatted": metrics.format_mean_std(tmean, tstd),
@@ -315,8 +321,8 @@ def _cmd_analyze_compare(args) -> None:
     ids_b, col_b = _attribute_column(preds_b, args.attribute)
     if ids != ids_b:
         raise ValueError("compare: the two prediction files cover different ids")
-    truth_col = _truth_column(ids, truth, args.attribute)
-    emotions = _truth_rows(ids, truth, "emotion")
+    truth_col = _truth_column(ids, truth, args.attribute, args.labels)
+    emotions = _truth_rows(ids, truth, "emotion", args.labels)
     report = metrics.compare_models(col_a, col_b, truth_col, emotions)
     doc = report.to_dict()
     doc["attribute"] = args.attribute
@@ -363,7 +369,7 @@ def _cmd_llm_score(args) -> None:
     truth = _labels_by_id(args.labels, args.split)
     scored_ids = set(preds.labels) | set(preds.attributes)
     excluded = sorted(rid for rid in truth if rid not in scored_ids)
-    report = _build_report(preds, truth)
+    report = _build_report(preds, truth, args.labels, args.pred)
     extra = {"excluded_count": len(excluded), "excluded_ids": excluded}
     _write_report(args.out, args.method, report, extra=extra)
     print(report.csv_row(args.method))
@@ -404,7 +410,8 @@ def _sweep_row(job) -> str:
             ckpt = trainer.train_stage1(cfg, data["records"])
         else:
             ckpt = trainer.train_stage2(cfg, *data["sources"], data["records"])
-        reports[cfg.task] = _build_report(trainer.predict(ckpt, data["scored"]), data["truth"])
+        reports[cfg.task] = _build_report(trainer.predict(ckpt, data["scored"]), data["truth"],
+                                        data["labels"])
     empty = MetricsReport()
     return MetricsReport(
         classification=reports.get("categorical", empty).classification,
@@ -421,9 +428,10 @@ def _run_sweep(args, rows, records, sources=()) -> None:
     bytes a fresh encode gives, and process-level parallelism cannot change
     a row's output.
     """
-    scored = _select_split(records, args.split)
+    labels = Path(args.data) / "labels.csv"
+    scored = _select_split(records, args.split, labels)
     data = {"records": records, "sources": sources, "scored": scored,
-            "truth": {r.id: r for r in scored}}
+            "truth": {r.id: r for r in scored}, "labels": labels}
     jobs = [(method, cfgs, data) for method, cfgs in rows]
     if args.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor

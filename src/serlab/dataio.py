@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -459,18 +459,22 @@ def assemble_records(
     labels: Sequence[LabelRow],
     speech: Sequence[tuple[str, np.ndarray]] | None = None,
     text: Sequence[tuple[str, np.ndarray]] | None = None,
+    sources: Mapping[str, Path] | None = None,
 ) -> list[UtteranceRecord]:
-    """Join label rows with per-modality embeddings by id."""
+    """Join label rows with per-modality embeddings by id; ``sources`` names
+    the file each modality was read from, for errors."""
     smap = dict(speech) if speech is not None else {}
     tmap = dict(text) if text is not None else {}
+    where = {modality: f"{path}: " for modality, path in (sources or {}).items()}
     records = []
     for row in labels:
         sf = smap.get(row.id)
         tt = tmap.get(row.id)
         if speech is not None and sf is None:
-            raise ValueError(f"record {row.id!r}: missing speech embeddings")
+            raise ValueError(
+                f"{where.get('speech', '')}record {row.id!r}: missing speech embeddings")
         if text is not None and tt is None:
-            raise ValueError(f"record {row.id!r}: missing text embeddings")
+            raise ValueError(f"{where.get('text', '')}record {row.id!r}: missing text embeddings")
         records.append(UtteranceRecord(row.id, row.split, sf, tt, row.emotion, row.attributes))
     return records
 
@@ -615,8 +619,9 @@ def load_dataset(data_dir, modalities: Sequence[str]) -> list[UtteranceRecord]:
     ``modalities`` (``speech``, ``text``) only; see the module docstring."""
     d = Path(data_dir)
     labels = read_labels(d / "labels.csv")
-    features = {modality: read_embeddings(d / f"{modality}.femb") for modality in modalities}
-    return assemble_records(labels, **features)
+    sources = {modality: d / f"{modality}.femb" for modality in modalities}
+    features = {modality: read_embeddings(path) for modality, path in sources.items()}
+    return assemble_records(labels, **features, sources=sources)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,11 @@ few.  ``mish`` calls one exponential, ``exp(min(x, 20))``, and forms
 tanh(ln(1 + eˣ)) as n / (n + 2) with n = e(e + 2); the clamp is exact,
 because past it the true tanh rounds to 1.0.  ``segment_attention`` applies
 the softmax normaliser after summing over query rows, so its forward never
-divides or averages a whole weight matrix.
+divides or averages a whole weight matrix.  It pads the pairs whose two
+sequences are both shorter than ``PAD`` rows to ``PAD`` x ``PAD`` and runs
+their softmax and backward as one 3-D stack, because on such pairs the
+per-pair call overhead, not the arithmetic, sets the cost; every other pair
+runs alone, unpadded.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ Array = np.ndarray
 
 CCC_DEGENERATE_EPS = 1e-15  # a smaller concordance denominator is degenerate
 VAR_EPS = 1e-9  # added to a pooled variance before its square root
+PAD = 12  # segment_attention stacks pairs of shorter sequences, padded to this many rows
 
 __all__ = [
     "Tensor",
@@ -530,19 +535,36 @@ def segment_mean(H, offsets, lengths) -> Tensor:
     return _node(np.add.reduceat(H.data, offsets, axis=0) / n, (H,), "segment_mean", backward_fn)
 
 
+def _pad_rows(offsets: Array, lengths: Array) -> tuple[Array, Array]:
+    """n x ``PAD`` row indices of n sequences padded to ``PAD`` rows, and the
+    mask of real rows.  A padded row repeats its sequence's last row, so it
+    gathers finite values, which the padding's zero weights then cancel
+    exactly."""
+    steps = np.arange(PAD)
+    return offsets[:, None] + np.minimum(steps, lengths[:, None] - 1), steps < lengths[:, None]
+
+
 def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> Tensor:
     """Attention within each of B packed sequence pairs: B x D, row b the
     mean over query rows of ``softmax(q_b k_bᵀ) v_b``.
 
     q_b holds the ``q_lengths[b]`` rows of ``q`` from ``q_offsets[b]`` on;
     k_b and v_b hold the ``kv_lengths[b]`` rows of ``k`` and ``v`` from
-    ``kv_offsets[b]`` on.  No padding: each Tq x Tk matrix of exponentials
-    is built from its own rows, with a row-max shift.  The softmax
+    ``kv_offsets[b]`` on; no two pairs share a row.  Each pair's Tq x Tk
+    scores are its own product, shifted by their row maxima.  The softmax
     normaliser is applied after the sum over query rows, as in
-    FlashAttention: with ``r = 1 / rowsum(e)``, row b is
-    ``((r e) / Tq) v_b``, so the forward never divides or averages the whole
-    matrix.  Only when an input requires grad does it normalise the matrix
-    in place and keep it, with its column means, for ``backward``.
+    FlashAttention: with ``r = 1 / rowsum(e)``, row b is ``((r e) / Tq) v_b``,
+    so the forward never divides or averages the whole matrix.  Only when an
+    input requires grad does it normalise the matrix in place and keep it,
+    with its column means, for ``backward``.
+
+    A pair with a sequence at least ``PAD`` long runs alone, with no
+    padding.  A pair whose sequences are both shorter attends as
+    ``PAD`` x ``PAD``: its scores are written into a padded block, with −inf
+    for the padded keys and zeros, given r = 0, for the padded queries, and
+    all such pairs run from the row max on, backward included, as one 3-D
+    stack.  Whether a pair pads depends on its own lengths only, never on
+    the batch, so each output row is the one its pair gives alone.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if len(q_lengths) != len(kv_lengths) or any(t.data.ndim != 2 for t in (q, k, v)) \
@@ -552,15 +574,23 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
             f"segment_attention: {len(q_lengths)} query and {len(kv_lengths)} key sequences "
             f"do not fit q {q.shape}, k {k.shape}, v {v.shape}"
         )
+    if min(q_lengths, default=1) < 1 or min(kv_lengths, default=1) < 1:
+        raise ValueError("segment_attention: every sequence needs at least one row")
     qd, kd, vd = q.data, k.data, v.data
+    layout = [np.asarray(a, dtype=np.int64) for a in (q_offsets, q_lengths, kv_offsets, kv_lengths)]
     spans = [
         (slice(qo, qo + qn), slice(ko, ko + kn))
-        for qo, qn, ko, kn in zip(q_offsets, q_lengths, kv_offsets, kv_lengths)
+        for qo, qn, ko, kn in zip(*(a.tolist() for a in layout))
     ]
     keep = q.requires_grad or k.requires_grad or v.requires_grad
-    saved: list[tuple[Array, Array]] = []  # (weights, their column means) per pair
     out = np.empty((len(spans), vd.shape[1]))
+    alone: list[tuple[int, Array, Array]] = []  # (pair, weights, their column means)
+    short: list[int] = []  # the stacked pairs
+    stack = None  # what their backward reads
     for b, (qs, ks) in enumerate(spans):
+        if qs.stop - qs.start < PAD and ks.stop - ks.start < PAD:
+            short.append(b)
+            continue
         e = qd[qs] @ kd[ks].T
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
@@ -569,16 +599,44 @@ def segment_attention(q, k, v, q_offsets, q_lengths, kv_offsets, kv_lengths) -> 
         out[b] = col_mean @ vd[ks]
         if keep:
             e *= r[:, None]
-            saved.append((e, col_mean))
+            alone.append((b, e, col_mean))
+    if short:
+        qo, nq, ko, nk = (a[short] for a in layout)
+        qrows, qreal = _pad_rows(qo, nq)
+        krows, kreal = _pad_rows(ko, nk)
+        e = np.repeat(np.where(kreal, 0.0, -np.inf)[:, None, :], PAD, axis=1)
+        for i, b in enumerate(short):
+            qs, ks = spans[b]
+            e[i, :qs.stop - qs.start, :ks.stop - ks.start] = qd[qs] @ kd[ks].T
+        e -= e.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        r = qreal / e.sum(axis=2)
+        col_mean = np.matmul(r[:, None, :], e)[:, 0] / nq[:, None]
+        vs = vd[krows]
+        out[short] = np.matmul(col_mean[:, None, :], vs)[:, 0]
+        if keep:
+            e *= r[:, :, None]
+            stack = (e, col_mean, vs, nq, qrows, qreal, krows, kreal)
 
     def backward_fn(g: Array) -> None:
         dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for (qs, ks), (w, col_mean), gb in zip(spans, saved, g):
+        for b, w, col_mean in alone:
+            (qs, ks), gb = spans[b], g[b]
             dv[ks] += np.outer(col_mean, gb)
             r = vd[ks] @ gb / w.shape[0]  # d out_b / d w_ij = v_j . g_b / Tq
             ds = w * (r - (w @ r)[:, None])
             dq[qs] += ds @ kd[ks]
             dk[ks] += ds.T @ qd[qs]
+        if stack is not None:
+            w, col_mean, vs, nq, qrows, qreal, krows, kreal = stack
+            gs = g[short]
+            r = np.matmul(vs, gs[:, :, None]) / nq[:, None, None]
+            ds = w * (r.transpose(0, 2, 1) - np.matmul(w, r))
+            # no two pairs share a row, so each fancy-indexed += adds once per row
+            real_k = krows[kreal]
+            dv[real_k] += (col_mean[:, :, None] * gs[:, None, :])[kreal]
+            dq[qrows[qreal]] += np.matmul(ds, kd[krows])[qreal]
+            dk[real_k] += np.matmul(ds.transpose(0, 2, 1), qd[qrows])[kreal]
         _accum(q, dq)
         _accum(k, dk)
         _accum(v, dv)

@@ -60,9 +60,28 @@ class Xoshiro256StarStar:
                 return v % n
 
     def shuffle(self, items: list) -> None:
+        """Fisher-Yates in place, item i swapped with ``randbelow(i + 1)``.
+        The draws are ``next`` and ``randbelow`` written inline, on the state
+        words held in locals, so the order is theirs, call for call."""
+        s0, s1, s2, s3 = self._s
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            n = i + 1
+            limit = (1 << 64) - ((1 << 64) % n)
+            while True:
+                x = (s1 * 5) & _MASK64
+                v = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                if v < limit:
+                    break
+            j = v % n
             items[i], items[j] = items[j], items[i]
+        self._s[:] = (s0, s1, s2, s3)
 
 
 def epoch_seed(base_seed: int, epoch: int) -> int:

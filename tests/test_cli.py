@@ -324,6 +324,27 @@ class TestExitCodes:
         ) == 1
         assert str(data / "text.femb") in capsys.readouterr().err
 
+    def test_record_missing_from_a_feature_file_names_that_file(self, dataset, stage1_ckpts,
+                                                               tmp_path, capsys):
+        data = self._data_copy(dataset, tmp_path)
+        with open(data / "labels.csv", "a") as f:
+            f.write("zz,test1,A,,,\n")
+        capsys.readouterr()
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(data),
+                             "--out", str(tmp_path / "p.csv")]) == 1
+        assert f"error: {data / 'speech.femb'}: record 'zz': missing speech embeddings" \
+            in capsys.readouterr().err
+
+    def test_empty_split_names_the_labels_file(self, stage1_ckpts, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli_dispatch(["gen-synth", "--class-counts", ",".join(["4"] * 8),
+                             "--split-fractions", "0.75,0.25,0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["predict", "--ckpt", str(stage1_ckpts[0]), "--data", str(data),
+                             "--split", "test1", "--out", str(tmp_path / "p.csv")]) == 1
+        assert f"error: {data / 'labels.csv'}: no records in split 'test1'" \
+            in capsys.readouterr().err
+
     def test_undecodable_labels_and_checkpoint_metadata_exit_1_naming_the_file(
             self, dataset, stage1_ckpts, tmp_path, capsys):
         data = self._data_copy(dataset, tmp_path)
@@ -715,6 +736,26 @@ class TestEvaluate:
         )
         assert code == 1
 
+
+    def test_unknown_prediction_id_names_the_labels_file(self, tmp_path, capsys):
+        labels_path = tmp_path / "labels.csv"
+        write_labels(labels_path, [LabelRow("u1", "test1", None, (4.0, 4.0, 4.0))])
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text("id,emotion,arousal,valence,dominance\nzz,,4.0,4.0,4.0\n")
+        assert cli_dispatch(["evaluate", "--pred", str(pred_path), "--labels", str(labels_path),
+                             "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {labels_path}: prediction id 'zz' not found in labels" \
+            in capsys.readouterr().err
+
+    def test_prediction_file_without_outputs_is_named(self, tmp_path, capsys):
+        labels_path = tmp_path / "labels.csv"
+        write_labels(labels_path, [LabelRow("u1", "test1", "A", None)])
+        pred_path = tmp_path / "preds.csv"
+        pred_path.write_text("id,emotion,arousal,valence,dominance\nu1,,,,\n")
+        assert cli_dispatch(["evaluate", "--pred", str(pred_path), "--labels", str(labels_path),
+                             "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {pred_path}: prediction file holds neither labels nor attributes" \
+            in capsys.readouterr().err
 
     def test_duplicate_prediction_id_rejected(self, tmp_path, capsys):
         labels_path = tmp_path / "labels.csv"

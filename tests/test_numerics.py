@@ -142,6 +142,87 @@ class TestSegmentAttention:
         assert all(np.all(np.isfinite(store.grad(n))) for n in ("q", "k", "v"))
 
 
+def _per_pair_attention(q, k, v, nq, nkv, g):
+    """``segment_attention`` as one loop over pairs, with no padding: its
+    value and the q, k and v gradients of sum(g * value)."""
+    spans = [(slice(qo, qo + qn), slice(ko, ko + kn))
+             for qo, qn, ko, kn in zip(np.cumsum(nq) - nq, nq, np.cumsum(nkv) - nkv, nkv)]
+    out, saved = np.empty((len(spans), v.shape[1])), []
+    for b, (qs, ks) in enumerate(spans):
+        e = q[qs] @ k[ks].T
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        r = 1.0 / e.sum(axis=1)
+        col_mean = (r @ e) / e.shape[0]
+        out[b] = col_mean @ v[ks]
+        e *= r[:, None]
+        saved.append((e, col_mean))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for (qs, ks), (w, col_mean), gb in zip(spans, saved, g):
+        dv[ks] += np.outer(col_mean, gb)
+        r = v[ks] @ gb / w.shape[0]
+        ds = w * (r - (w @ r)[:, None])
+        dq[qs] += ds @ k[ks]
+        dk[ks] += ds.T @ q[qs]
+    return [out, dq, dk, dv]
+
+
+def _attention(nq, nkv):
+    """``segment_attention`` over packed pairs of these lengths, as a
+    function of q, k and v."""
+    return lambda q, k, v: nm.segment_attention(q, k, v, np.cumsum(nq) - nq, nq,
+                                                np.cumsum(nkv) - nkv, nkv)
+
+
+class TestStackedAttention:
+    """Pairs whose sequences are both shorter than ``PAD`` run padded, as one
+    stack; the others run alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=24))
+    def test_each_pair_gives_what_it_gives_alone(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        # 1 to PAD - 1, PAD to 40 or 150 to 300 rows, so about a third of the pairs stack
+        nq, nkv = (np.select([u < 0.6, u < 0.9], [rng.integers(1, nm.PAD, batch),
+                                                  rng.integers(nm.PAD, 41, batch)],
+                             rng.integers(150, 301, batch))
+                   for u in rng.random((2, batch)))
+        dim, vdim = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        q, k, v = (rng.normal(size=(int(n.sum()), d))
+                   for n, d in ((nq, dim), (nkv, dim), (nkv, vdim)))
+        weights = rng.normal(size=(batch, vdim))
+        out, dq, dk, dv = _value_and_grads(_attention(nq, nkv), (q, k, v), weights)
+        qo, ko = np.cumsum(nq) - nq, np.cumsum(nkv) - nkv
+        for b in range(batch):
+            qs, ks = slice(qo[b], qo[b] + nq[b]), slice(ko[b], ko[b] + nkv[b])
+            alone = _value_and_grads(_attention(nq[b:b + 1], nkv[b:b + 1]),
+                                     (q[qs], k[ks], v[ks]), weights[b:b + 1])
+            for got, want in zip((out[b:b + 1], dq[qs], dk[ks], dv[ks]), alone):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_with_a_sequence_pad_long_are_the_per_pair_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        pad = nm.PAD
+        nq, nkv = rng.integers(pad, 301, size=(2, 10))
+        # at the boundary, and one short side against a long one
+        nq[:5], nkv[:5] = (pad, pad, pad + 1, 1, pad - 1), (pad, pad + 1, pad, pad, 200)
+        q, k, v = rng.normal(size=(nq.sum(), 6)), rng.normal(size=(nkv.sum(), 6)), \
+            rng.normal(size=(nkv.sum(), 5))
+        weights = rng.normal(size=(10, 5))
+        got = _value_and_grads(_attention(nq, nkv), (q, k, v), weights)
+        for g, w in zip(got, _per_pair_attention(q, k, v, nq, nkv, weights)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("nq, nkv", [([2, 0], [3, 1]), ([2, 1], [0, 4])])
+    def test_empty_sequence_rejected(self, nq, nkv):
+        # a padded empty sequence would gather its neighbour's rows
+        nq, nkv = np.array(nq), np.array(nkv)
+        q, k = np.ones((nq.sum(), 2)), np.ones((nkv.sum(), 2))
+        with pytest.raises(ValueError, match="at least one row"):
+            _attention(nq, nkv)(q, k, k)
+
+
 def _packed_frames(rng, batch, dim):
     """A packed batch of 1-12 frame sequences with their attention scores,
     and which sequences are constant.
@@ -396,6 +477,18 @@ class TestGradientsAgainstFiniteDifferences:
                        * nm.tensor(weights)).sum(),
             {"q": rng.normal(size=(7, 3)), "k": rng.normal(size=(8, 3)),
              "v": rng.normal(size=(8, 2))},
+        )
+
+    def test_segment_attention_stacked(self):
+        # one-frame queries and keys, lengths either side of PAD, and a long pair
+        pad, rng = nm.PAD, np.random.default_rng(11)
+        nq = np.array([1, 2, 1, pad - 1, pad - 1, pad, pad + 1, 3, 30])
+        nkv = np.array([1, 1, 3, pad - 1, pad, pad - 1, pad + 1, pad + 1, 25])
+        weights = rng.normal(size=(len(nq), 2))
+        check_gradients(
+            lambda s: (_attention(nq, nkv)(s["q"], s["k"], s["v"]) * nm.tensor(weights)).sum(),
+            {"q": rng.normal(size=(nq.sum(), 3)) * 2.0, "k": rng.normal(size=(nkv.sum(), 3)),
+             "v": rng.normal(size=(nkv.sum(), 2))},
         )
 
     def test_three_layer_head_composite_seed_42(self):

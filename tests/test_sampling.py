@@ -46,6 +46,30 @@ class TestPrng:
         assert sorted(items) == list(range(50))
         assert items != list(range(50))
 
+    def test_shuffle_is_fisher_yates_over_randbelow(self):
+        # shuffle inlines next and randbelow; the loop over them is the reference
+        def reference(rng, items):
+            for i in range(len(items) - 1, 0, -1):
+                j = rng.randbelow(i + 1)
+                items[i], items[j] = items[j], items[i]
+
+        mask = (1 << 64) - 1
+        x = ((1 << 64) - 1) * pow(9, -1, 1 << 64) & mask
+        x = (x >> 7 | x << 57) & mask  # s1 whose next draw is 2^64 - 1, rejected for n = 3
+        crafted = [1, x * pow(5, -1, 1 << 64) & mask, 2, 3]
+        for seed in range(4):
+            for n in (0, 1, 2, 3, 17, 300):
+                fast, slow = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+                if seed == 0:
+                    fast._s, slow._s = list(crafted), list(crafted)
+                a, b = list(range(n)), list(range(n))
+                fast.shuffle(a)
+                reference(slow, b)
+                assert a == b and fast._s == slow._s
+        probe = Xoshiro256StarStar(0)
+        probe._s = list(crafted)
+        assert probe.next() == (1 << 64) - 1
+
     def test_epoch_seed_varies(self):
         seeds = [epoch_seed(42, e) for e in range(10)]
         assert len(set(seeds)) == 10
